@@ -62,14 +62,15 @@ race:
 soak:
 	$(GO) test -race -run TestSoak -count=1 ./internal/server/
 
-# Race-gated cluster chaos suite: 3-member clusters on the 204-device
-# fabric. One scenario kills the snapshot owner mid-question (failover
-# within the suspicion window, byte-identical answer from the new owner,
-# warm start from the shared cache); the other kills the coordinator
-# itself mid-question (lease-race promotion within twice the member
-# budget, strictly increasing epoch, then a second owner-kill answered
-# from pre-replicated artifacts with zero cold parses). The tests carry a
-# `race` build tag, so they exist only under the race detector.
+# Race-gated cluster chaos suite: 3-member clusters over one shared
+# cache directory on the 204-device fabric. One scenario kills the
+# snapshot owner mid-question (its lease lapses out of the view within
+# the suspicion window, byte-identical answer from the new owner, warm
+# start from the shared cache); the other kills the first-started member
+# mid-question (both survivors agree on one view within twice the member
+# budget at a strictly higher epoch, then a second owner-kill is
+# answered from the shared cache with zero cold parses). The tests carry
+# a `race` build tag, so they exist only under the race detector.
 cluster-chaos:
 	$(GO) test -race -run TestClusterChaos -count=1 ./internal/cluster/
 

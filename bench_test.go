@@ -873,13 +873,15 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E14: the clustered service. Two costs define the mode: what a
-// forwarding hop adds to a question answered by another member, and how
-// long the cluster takes to evict a dead member (the window during which
-// its snapshots are unreachable before failover re-homes them). Reported
-// as cluster-* metrics; `benchjson -check` enforces that failover p99
-// stays inside the detector's budget and the forwarding overhead stays
-// bounded.
+// E14/E15: the clustered service. Four costs define the mode: what a
+// forwarding hop adds to a question answered by another member; how long
+// a dead member's snapshots stay unreachable before its lease lapses out
+// of the view; how long the survivors take to agree on one view after
+// the first-started member dies; and how warm the heir's rehydration is.
+// Every member opens one shared cache directory, the cluster's only
+// membership authority. Reported as cluster-* metrics; `benchjson -check`
+// enforces the failover budgets, the forwarding overhead ceiling and the
+// heir warm-hit floor.
 func BenchmarkCluster(b *testing.B) {
 	gen := netgen.Fabric(netgen.FabricParams{Name: "cl", Spines: 2, Pods: 2,
 		AggPerPod: 2, TorPerPod: 2, HostNetsPerTor: 1, Multipath: true})
@@ -892,9 +894,14 @@ func BenchmarkCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 	hb := 50 * time.Millisecond
-	startNode := func(b *testing.B, id, join string) (*cluster.Node, *httptest.Server) {
+	type member struct {
+		n   *cluster.Node
+		srv *server.Server
+		ts  *httptest.Server
+	}
+	start := func(b *testing.B, id, dir string) member {
 		b.Helper()
-		srv, err := server.New(server.Config{Seed: 1})
+		srv, err := server.New(server.Config{Seed: 1, CacheDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -905,10 +912,57 @@ func BenchmarkCluster(b *testing.B) {
 		ts := httptest.NewServer(n.Handler())
 		b.Cleanup(ts.Close)
 		b.Cleanup(n.Kill)
-		if err := n.Start(context.Background(), ts.URL, join); err != nil {
+		if err := n.Start(context.Background(), ts.URL); err != nil {
 			b.Fatal(err)
 		}
-		return n, ts
+		return member{n, srv, ts}
+	}
+	kill := func(m member) {
+		m.ts.Listener.Close()
+		m.ts.CloseClientConnections()
+		m.n.Kill()
+	}
+	// agree polls until every given member reads the same view of size
+	// members, returning how long that took.
+	agree := func(b *testing.B, size int, ms ...member) time.Duration {
+		b.Helper()
+		t0 := time.Now()
+		for {
+			v := ms[0].n.View()
+			same := len(v.Members) == size
+			for _, m := range ms[1:] {
+				same = same && m.n.View().Epoch == v.Epoch
+			}
+			if same {
+				return time.Since(t0)
+			}
+			if time.Since(t0) > 10*time.Second {
+				b.Fatalf("members never agreed on a %d-member view: %+v", size, v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ownedBy := func(b *testing.B, m member, owner string) string {
+		b.Helper()
+		for i := 0; i < 4096; i++ {
+			if cand := fmt.Sprintf("snap%04d", i); cluster.OwnerOf(m.n.View().Members, cand).ID == owner {
+				return cand
+			}
+		}
+		b.Fatalf("no %s-owned snapshot name found", owner)
+		return ""
+	}
+	load := func(b *testing.B, m member, name string) {
+		b.Helper()
+		resp, err := http.Post(m.ts.URL+"/snapshots/"+name, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("load: %d", resp.StatusCode)
+		}
 	}
 	get := func(b *testing.B, url string) {
 		b.Helper()
@@ -922,41 +976,35 @@ func BenchmarkCluster(b *testing.B) {
 			b.Fatalf("GET %s: status %d", url, resp.StatusCode)
 		}
 	}
+	percentiles := func(b *testing.B, episodes []time.Duration, prefix string, budget time.Duration) {
+		sort.Slice(episodes, func(i, j int) bool { return episodes[i] < episodes[j] })
+		pct := func(p float64) float64 {
+			idx := int(p * float64(len(episodes)-1))
+			return float64(episodes[idx].Nanoseconds()) / 1e6
+		}
+		b.ReportMetric(pct(0.50), prefix+"-p50-ms")
+		b.ReportMetric(pct(0.99), prefix+"-p99-ms")
+		b.ReportMetric(float64(budget.Nanoseconds())/1e6, prefix+"-budget-ms")
+	}
 
 	b.Run("forward-overhead", func(b *testing.B) {
-		n1, ts1 := startNode(b, "m1", "")
-		_, ts2 := startNode(b, "m2", ts1.URL)
-		// Find a snapshot m2 owns so asking through m1 costs one hop.
-		name := ""
-		for i := 0; i < 4096 && name == ""; i++ {
-			cand := fmt.Sprintf("snap%04d", i)
-			if cluster.OwnerOf(n1.View().Members, cand).ID == "m2" {
-				name = cand
-			}
-		}
-		if name == "" {
-			b.Fatal("no m2-owned snapshot name found")
-		}
-		resp, err := http.Post(ts2.URL+"/snapshots/"+name, "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("load: %d", resp.StatusCode)
-		}
+		dir := b.TempDir()
+		m1, m2 := start(b, "m1", dir), start(b, "m2", dir)
+		agree(b, 2, m1, m2)
+		// A snapshot m2 owns, so asking through m1 costs one hop.
+		name := ownedBy(b, m1, "m2")
+		load(b, m2, name)
 		q := "/snapshots/" + name + "/reachability"
-		get(b, ts2.URL+q) // warm the snapshot before timing anything
+		get(b, m2.ts.URL+q) // warm the snapshot before timing anything
 
 		t0 := time.Now()
 		for i := 0; i < b.N; i++ {
-			get(b, ts2.URL+q) // owner answers directly
+			get(b, m2.ts.URL+q) // owner answers directly
 		}
 		localNs := float64(time.Since(t0).Nanoseconds()) / float64(b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			get(b, ts1.URL+q) // one forwarding hop through m1
+			get(b, m1.ts.URL+q) // one forwarding hop through m1
 		}
 		b.StopTimer()
 		fwdNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -969,153 +1017,77 @@ func BenchmarkCluster(b *testing.B) {
 	})
 
 	b.Run("failover", func(b *testing.B) {
-		coord, cts := startNode(b, "m1", "")
-		// SuspectAfter defaults to two heartbeats; the acceptance budget is
-		// that window plus detector-tick and heartbeat slack.
-		budget := 4 * hb
+		// The member lease's TTL defaults to two heartbeats; the budget is
+		// that window plus control-step slack.
+		dir := b.TempDir()
+		observer := start(b, "m1", dir)
 		episodes := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			id := fmt.Sprintf("victim-%d", i)
-			n, ts := startNode(b, id, cts.URL)
-			// Joined synchronously; kill it and time the eviction.
-			ts.Listener.Close()
-			ts.CloseClientConnections()
-			n.Kill()
-			t0 := time.Now()
-			for {
-				in := false
-				for _, m := range coord.View().Members {
-					if m.ID == id {
-						in = true
-						break
-					}
-				}
-				if !in {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			episodes = append(episodes, time.Since(t0))
+			victim := start(b, fmt.Sprintf("victim-%d", i), dir)
+			agree(b, 2, observer, victim)
+			kill(victim)
+			episodes = append(episodes, agree(b, 1, observer))
 		}
 		b.StopTimer()
-		sort.Slice(episodes, func(i, j int) bool { return episodes[i] < episodes[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(episodes)-1))
-			return float64(episodes[idx].Nanoseconds()) / 1e6
-		}
-		b.ReportMetric(pct(0.50), "cluster-failover-p50-ms")
-		b.ReportMetric(pct(0.99), "cluster-failover-p99-ms")
-		b.ReportMetric(float64(budget.Nanoseconds())/1e6, "cluster-failover-budget-ms")
+		percentiles(b, episodes, "cluster-failover", 4*hb)
 	})
 
-	// A node starter with a disk cache: coordinator failover and heir
-	// replication both anchor on it (the lease lives there, and the
-	// replicator warms it).
-	startDiskNode := func(b *testing.B, id, join, dir string, ccfg cluster.Config) (*cluster.Node, *httptest.Server) {
-		b.Helper()
-		srv, err := server.New(server.Config{Seed: 1, CacheDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ccfg.ID = id
-		ccfg.Server = srv
-		n, err := cluster.NewNode(ccfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(n.Handler())
-		b.Cleanup(ts.Close)
-		b.Cleanup(n.Kill)
-		if err := n.Start(context.Background(), ts.URL, join); err != nil {
-			b.Fatal(err)
-		}
-		return n, ts
-	}
-
-	b.Run("coordinator-failover", func(b *testing.B) {
-		// ISSUE 9 exit bar: losing the coordinator may cost at most twice
-		// the member-eviction budget — detection is the same suspicion
-		// window, the extra factor covers waiting out the dead
-		// coordinator's last lease grant before the race is winnable.
-		budget := 2 * (4 * hb)
+	b.Run("seed-member-failover", func(b *testing.B) {
+		// Kill the first-started member of 3 and time how long until both
+		// survivors agree on one view without it. The budget is twice the
+		// member-eviction budget, the bar the coordinator-failover design
+		// this replaced was held to; the metric keeps that design's name
+		// so the committed trajectory stays comparable.
 		episodes := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			dir := b.TempDir()
-			ccfg := cluster.Config{Heartbeat: hb}
-			coord, cts := startDiskNode(b, "coord", "", dir, ccfg)
-			member, _ := startDiskNode(b, "member", cts.URL, dir, ccfg)
-			cts.Listener.Close()
-			cts.CloseClientConnections()
-			coord.Kill()
-			t0 := time.Now()
-			for member.Metrics().Role != cluster.RoleCoordinator {
-				if time.Since(t0) > 20*budget {
-					b.Fatalf("member never promoted (iteration %d): %+v", i, member.Metrics())
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			episodes = append(episodes, time.Since(t0))
+			seed := start(b, "seed", dir)
+			s2, s3 := start(b, "s2", dir), start(b, "s3", dir)
+			agree(b, 3, seed, s2, s3)
+			kill(seed)
+			episodes = append(episodes, agree(b, 2, s2, s3))
 		}
 		b.StopTimer()
-		sort.Slice(episodes, func(i, j int) bool { return episodes[i] < episodes[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(episodes)-1))
-			return float64(episodes[idx].Nanoseconds()) / 1e6
-		}
-		b.ReportMetric(pct(0.50), "cluster-coord-failover-p50-ms")
-		b.ReportMetric(pct(0.99), "cluster-coord-failover-p99-ms")
-		b.ReportMetric(float64(budget.Nanoseconds())/1e6, "cluster-coord-failover-budget-ms")
+		percentiles(b, episodes, "cluster-coord-failover", 2*(4*hb))
 	})
 
-	b.Run("heir-replication", func(b *testing.B) {
-		// Split cache directories force the replicator to move every
-		// artifact over HTTP; the warm-hit rate is the fraction of the
-		// owner's artifact keys present on the heir once replication
-		// settles (1.0 = failover rehydration fully warm), and the warm
-		// time is how long one snapshot takes to get there.
+	b.Run("heir-warm-start", func(b *testing.B) {
+		// The owner answers once, committing its parse and data-plane
+		// artifacts to the shared directory, then dies. The warm-hit rate
+		// is the share of the owner's artifact keys the heir's rehydration
+		// finds on disk (1.0 = no recompute); the warm time is the heir's
+		// first answer, rehydration included.
 		var rates []float64
 		warm := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ccfg := cluster.Config{Heartbeat: hb, ReplicateEvery: hb}
-			owner, ts1 := startDiskNode(b, "owner", "", b.TempDir(), ccfg)
-			heir, _ := startDiskNode(b, "heir", ts1.URL, b.TempDir(), ccfg)
-			name := ""
-			for j := 0; j < 4096 && name == ""; j++ {
-				cand := fmt.Sprintf("snap%04d", j)
-				if cluster.OwnerOf(owner.View().Members, cand).ID == "owner" {
-					name = cand
+			dir := b.TempDir()
+			owner, heir := start(b, "owner", dir), start(b, "heir", dir)
+			agree(b, 2, owner, heir)
+			name := ownedBy(b, owner, "owner")
+			load(b, owner, name)
+			q := "/snapshots/" + name + "/reachability"
+			get(b, owner.ts.URL+q)
+			keys, _ := owner.srv.SnapshotArtifactKeys(name)
+			n := 0
+			for _, k := range keys {
+				if !k.IsZero() {
+					n++
 				}
 			}
-			if name == "" {
-				b.Fatal("no owner-owned snapshot name found")
-			}
-			resp, err := http.Post(ts1.URL+"/snapshots/"+name, "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("load: %d", resp.StatusCode)
-			}
-			get(b, ts1.URL+"/snapshots/"+name+"/reachability") // commit the dataplane artifact
+			kill(owner)
+			agree(b, 1, heir)
+			before := heir.srv.Disk().Stats()
 			t0 := time.Now()
-			var rs cluster.ReplicationStatus
-			for {
-				rs = heir.Metrics().Replication
-				if rs.Keys > 0 && rs.Lag == 0 {
-					break
-				}
-				if time.Since(t0) > 30*time.Second {
-					break // report the shortfall instead of hanging
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
+			get(b, heir.ts.URL+q)
 			warm = append(warm, time.Since(t0))
-			rates = append(rates, float64(rs.Keys-rs.Lag)/float64(max(rs.Keys, 1)))
+			if r := heir.n.Metrics().Rehydrations; r != 1 {
+				b.Fatalf("heir rehydrations = %d, want 1", r)
+			}
+			misses := heir.srv.Disk().Stats().Misses - before.Misses
+			rates = append(rates, max(0, 1-float64(misses)/float64(max(n, 1))))
 		}
 		b.StopTimer()
 		sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })

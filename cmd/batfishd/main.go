@@ -26,16 +26,17 @@
 // shed with 503 + Retry-After, and in-flight requests finish (bounded by
 // -drain-timeout). Exit code 0 on a clean drain, 1 otherwise.
 //
-// Cluster mode (-cluster-listen, optionally -cluster-join) runs several
-// batfishd processes as one service: snapshots are owned by rendezvous
-// hash, requests for another member's snapshot are forwarded
-// transparently, a heartbeat failure detector evicts dead members, and
-// with a shared -cache directory the inheriting member warm-starts from
-// the dead member's artifacts. With -failover (default on) the
-// coordinator itself fails over through a lease on the shared cache, and
-// with -replicate-heirs (default on) each member pre-fetches artifacts
-// for the snapshots it would inherit, so failover never pays a cold
-// parse. See the cluster quick start in README.md.
+// Cluster mode (-cluster-listen) runs several batfishd processes as one
+// service. Every member must open the same -cache directory, which is the
+// only membership authority: each member holds a renewable lease there,
+// the view is the set of live leases, and its epoch is a generation the
+// directory keeps with it. There is no coordinator and no join address —
+// start members in any order, kill any of them. Snapshots are owned by
+// rendezvous hash, requests for another member's snapshot are forwarded
+// transparently, a member whose lease lapses drops out of every view, and
+// the inheriting member warm-starts from the dead member's artifacts in
+// the shared directory. -cluster-listen without -cache exits 2. See the
+// cluster quick start in README.md.
 package main
 
 import (
@@ -73,14 +74,16 @@ func main() {
 		faultSpec    = flag.String("faults", "", "fault-injection spec, e.g. \"server:*=sleep:100ms,diskcache:write=panic:1\"")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 
-		clusterJoin   = flag.String("cluster-join", "", "coordinator URL to join (empty with -cluster-listen = run as coordinator)")
-		clusterListen = flag.String("cluster-listen", "", "advertised base URL for cluster mode, e.g. http://10.0.0.5:8866 (enables clustering)")
+		clusterListen = flag.String("cluster-listen", "", "advertised base URL for cluster mode, e.g. http://10.0.0.5:8866 (enables clustering; needs a -cache shared by all members)")
 		memberID      = flag.String("member-id", "", "stable cluster member identity (default hostname-pid)")
-		heartbeat     = flag.Duration("heartbeat", 0, "cluster heartbeat interval (0 = default 1s); failure suspected after 2 intervals")
-		failover      = flag.Bool("failover", true, "lease-based coordinator failover over the shared -cache (cluster mode)")
-		replicate     = flag.Bool("replicate-heirs", true, "proactively replicate artifacts for snapshots this member is heir to (cluster mode)")
+		heartbeat     = flag.Duration("heartbeat", 0, "cluster lease renewal pace (0 = default 1s); a member lease lapses after 2 intervals")
 	)
 	flag.Parse()
+
+	if *clusterListen != "" && *cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "batfishd: -cluster-listen requires -cache: the shared cache directory is the cluster's membership authority")
+		os.Exit(2)
+	}
 
 	if *faultSpec != "" {
 		inj, err := faults.ParseSpec(*faultSpec)
@@ -129,29 +132,20 @@ func main() {
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 		node, err = cluster.NewNode(cluster.Config{
-			ID:                 id,
-			Server:             srv,
-			Heartbeat:          *heartbeat,
-			DisableFailover:    !*failover,
-			DisableReplication: !*replicate,
-			Logf:               func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			ID:        id,
+			Server:    srv,
+			Heartbeat: *heartbeat,
+			Logf:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "batfishd: %v\n", err)
 			os.Exit(1)
 		}
-		if err := node.Start(context.Background(), *clusterListen, *clusterJoin); err != nil {
-			fmt.Fprintf(os.Stderr, "batfishd: cluster join: %v\n", err)
+		if err := node.Start(context.Background(), *clusterListen); err != nil {
+			fmt.Fprintf(os.Stderr, "batfishd: cluster start: %v\n", err)
 			os.Exit(1)
 		}
-		role := "member of " + *clusterJoin
-		if *clusterJoin == "" {
-			role = "coordinator"
-		}
-		fmt.Fprintf(os.Stderr, "batfishd: cluster %s at %s (%s)\n", id, *clusterListen, role)
-	} else if *clusterJoin != "" {
-		fmt.Fprintln(os.Stderr, "batfishd: -cluster-join requires -cluster-listen")
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "batfishd: cluster member %s at %s over %s\n", id, *clusterListen, *cacheDir)
 	}
 
 	mux := http.NewServeMux()
@@ -191,9 +185,9 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	code := 0
-	// In cluster mode the node drains: it leaves the view (handing its
-	// snapshots to the survivors), stops heartbeating, then drains the
-	// wrapped server. Standalone, the server drains directly.
+	// In cluster mode the node drains: it stops renewing and releases its
+	// member lease (handing its snapshots to the survivors), then drains
+	// the wrapped server. Standalone, the server drains directly.
 	drain := srv.Drain
 	if node != nil {
 		drain = node.Drain

@@ -2,11 +2,10 @@ package cluster
 
 import "time"
 
-// Clock is the node's time source. Membership liveness — heartbeat
-// timestamps, failure-detector cutoffs, failover deadlines, lease
-// expiry — is wall-clock by nature, but chaos and unit tests need to
-// drive coordinator-death scenarios deterministically, so every time
-// read in the package goes through the configured Clock.
+// Clock is the node's time source. Membership liveness — lease renewal
+// times, failover deadlines — is wall-clock by nature, but simulation
+// and unit tests need to drive lease expiry deterministically, so every
+// time read in the package goes through the configured Clock.
 type Clock interface {
 	Now() time.Time
 }

@@ -1,44 +1,29 @@
-// Package cluster turns independent batfishd servers into one service:
-// a coordinator tracks membership through periodic heartbeats and a
-// timeout failure detector, snapshots are owned by rendezvous hashing
-// over the live member set, and every node transparently forwards
-// requests for snapshots it does not own to the owning member. When the
-// detector declares a member dead the view epoch advances, ownership of
-// its snapshots moves deterministically to the surviving members, and
-// the heir rehydrates them from manifests in the shared content-addressed
-// disk cache — warm-starting from the dead member's parse and dataplane
-// artifacts instead of recomputing them.
-//
-// The design follows the coordinator/member pattern: exactly one node is
-// the coordinator (initially, the one started without a join address)
-// and holds the authoritative view; members learn the view from
-// heartbeat responses. The coordinator is a regular snapshot-serving
-// member too — and it is not a single point of failure: its authority is
-// backed by a renewable lease on the shared disk cache, and when members
-// lose contact with it past the suspicion window they race to acquire
-// that lease, the winner promoting itself with an epoch strictly past
-// any it has seen (promote.go). Each member also runs an anti-entropy
-// replicator that pre-fetches artifacts for the snapshots it is heir to,
-// so failover rehydration starts warm (replicate.go).
+// Package cluster turns independent batfishd servers into one service.
+// Every member opens the same disk cache directory, and that directory is
+// the only membership authority: each member holds a renewable lease
+// there carrying its advertised address, the view is the sorted set of
+// live member leases, and its epoch is a generation counter the directory
+// keeps with the set it names (membership.go). Snapshots are owned by
+// rendezvous hashing over the view, every node computes ownership
+// locally, and requests for snapshots a node does not own are forwarded
+// transparently to the owning member. When a member dies its lease
+// lapses, the next read of the directory drops it at a higher epoch, and
+// ownership of its snapshots moves deterministically to the survivors,
+// which rehydrate them from manifests in the same directory — warm-
+// starting from the dead member's parse and dataplane artifacts instead
+// of recomputing them.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/diskcache"
 	"repro/internal/server"
-)
-
-// Roles a member registers with.
-const (
-	RoleCoordinator = "coordinator"
-	RoleMember      = "member"
 )
 
 // HopHeader marks a request as already forwarded once (request side) and
@@ -55,16 +40,11 @@ const maxBody = 64 << 20
 type Member struct {
 	ID   string `json:"id"`
 	Addr string `json:"addr"` // base URL, e.g. http://10.0.0.7:7071
-	Role string `json:"role"`
-	// Epoch rides only on join/heartbeat request bodies: the sender's
-	// current view epoch. A freshly promoted coordinator uses it to jump
-	// its own epoch strictly past anything the dead coordinator handed
-	// out before the crash. Always zero inside views.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
-// View is the membership at one epoch. Members are sorted by ID; the
-// epoch advances on every join, leave, and failure-detector removal, so
+// View is the membership at one epoch: the live member leases in the
+// shared cache directory, sorted by ID, and the generation the directory
+// assigned that set. An epoch never names two different member sets, so
 // forwarders can wait for "a view newer than the one that failed me".
 type View struct {
 	Epoch   int64    `json:"epoch"`
@@ -82,43 +62,34 @@ func (v View) clone() View {
 type Config struct {
 	// ID is the member's stable identity (hash input for ownership).
 	ID string
-	// Server is the wrapped analysis server.
+	// Server is the wrapped analysis server. It must have a disk cache
+	// (server.Config.CacheDir): the cache directory, shared by every
+	// member, holds the membership leases.
 	Server *server.Server
-	// Heartbeat is the member→coordinator heartbeat period (default 1s).
+	// Heartbeat paces the control loop, which renews this node's member
+	// lease and re-reads the view every Heartbeat/2 (default 1s).
 	Heartbeat time.Duration
-	// SuspectAfter is how long a member may stay silent before the
-	// detector declares it dead (default 2×Heartbeat — "failover within
-	// two heartbeat intervals").
+	// SuspectAfter is the member lease's TTL: how long a member may go
+	// unrenewed before it drops out of every view (default 2×Heartbeat —
+	// "failover within two heartbeat intervals").
 	SuspectAfter time.Duration
 	// FailoverWait bounds how long a forwarder waits for a view change
 	// after the owner stops answering (default SuspectAfter+2×Heartbeat:
-	// the detector needs SuspectAfter to notice, plus heartbeat slack for
-	// the new view to propagate).
+	// the lease needs SuspectAfter to lapse, plus slack for the next
+	// directory read).
 	FailoverWait time.Duration
 	// ForwardRetries is how many times a forwarder re-resolves the owner
 	// after a transport failure before giving up with 502 (default 2).
 	ForwardRetries int
-	// Client performs forwarded and cluster-control requests (default: a
+	// Client performs forwarded and cluster-internal requests (default: a
 	// dedicated client; the shared http.DefaultClient is never mutated).
 	Client *http.Client
 	// Logf, when set, receives membership and failover events.
 	Logf func(format string, args ...any)
 	// Clock is the node's time source (default: the wall clock). Tests
-	// inject a fake to drive detection and failover without sleeping.
+	// inject a fake, shared with the disk cache's SetClock, to drive
+	// lease expiry and failover without sleeping.
 	Clock Clock
-	// DisableFailover turns off lease-based coordinator failover. The
-	// zero value enables it — robustness by default — though it is inert
-	// without a disk cache to hold the lease.
-	DisableFailover bool
-	// DisableReplication turns off the anti-entropy heir replicator. The
-	// zero value enables it; inert without a disk cache.
-	DisableReplication bool
-	// ReplicateEvery is the heir replicator's round period (default
-	// 5×Heartbeat — replication is anti-entropy, not a hot path).
-	ReplicateEvery time.Duration
-	// ReplicateBurst bounds artifact fetches per replication round
-	// (default 64); presence probes against the local cache are unmetered.
-	ReplicateBurst int
 }
 
 func (c *Config) defaults() error {
@@ -127,6 +98,9 @@ func (c *Config) defaults() error {
 	}
 	if c.Server == nil {
 		return fmt.Errorf("cluster: config needs a server")
+	}
+	if c.Server.Disk() == nil {
+		return fmt.Errorf("cluster: member %s needs a disk cache: the shared cache directory is the membership authority", c.ID)
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
@@ -152,12 +126,6 @@ func (c *Config) defaults() error {
 	if c.Clock == nil {
 		c.Clock = systemClock{}
 	}
-	if c.ReplicateEvery <= 0 {
-		c.ReplicateEvery = 5 * c.Heartbeat
-	}
-	if c.ReplicateBurst <= 0 {
-		c.ReplicateBurst = 64
-	}
 	return nil
 }
 
@@ -166,19 +134,15 @@ func (c *Config) defaults() error {
 type Node struct {
 	cfg   Config
 	inner *server.Server
+	disk  *diskcache.Cache
 	mux   *http.ServeMux
 
-	mu          sync.Mutex
-	self        Member
-	coordinator bool
-	coordAddr   string // coordinator base URL (members only)
-	view        View
-	lastSeen    map[string]time.Time // coordinator: member ID → last heartbeat
-	draining    bool
-	lease       *diskcache.Lease // coordinator: the held coordinator lease (nil when failover is off)
-	renewFails  time.Time        // coordinator: start of the current lease-renew failure streak
-	lastContact time.Time        // member: last successful exchange with the coordinator
-	lastBeat    time.Time        // member: last heartbeat attempt (the loop ticks faster than it beats)
+	mu        sync.Mutex
+	addr      string // advertised base URL, the member lease's owner
+	view      View
+	lease     *diskcache.Lease // this node's member lease (nil before Start, after Drain or loss)
+	lastRenew time.Time        // start of the last successful acquire/renew
+	draining  bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -188,17 +152,18 @@ type Node struct {
 }
 
 // NewNode builds a node around the given server and registers the
-// cluster metrics hook. The node is inert until Start.
+// cluster metrics hook. It refuses a server without a disk cache. The
+// node is inert until Start.
 func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	n := &Node{
-		cfg:      cfg,
-		inner:    cfg.Server,
-		mux:      http.NewServeMux(),
-		lastSeen: make(map[string]time.Time),
-		stop:     make(chan struct{}),
+		cfg:   cfg,
+		inner: cfg.Server,
+		disk:  cfg.Server.Disk(),
+		mux:   http.NewServeMux(),
+		stop:  make(chan struct{}),
 	}
 	n.routes()
 	n.inner.SetClusterMetrics(func() any { return n.Metrics() })
@@ -206,103 +171,54 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Handler serves the node's full surface: the wrapped server's API with
-// ownership routing, plus the /cluster/* control endpoints.
+// ownership routing, plus the /cluster/* endpoints.
 func (n *Node) Handler() http.Handler { return n.mux }
 
-// Start brings the node online. An empty joinAddr makes this node the
-// coordinator — unless another coordinator already holds the lease on the
-// shared cache (a restarted ex-coordinator, say), in which case the node
-// defers to it and comes up as a member. Otherwise it registers with the
-// coordinator at joinAddr and starts heartbeating; if that target turns
-// out dead or demoted, the coordinator record in the shared cache names
-// the live one to join instead. advertiseAddr is the base URL other
-// members reach this node at. The background loops stop when ctx is
-// cancelled, Kill is called, or Drain completes.
-func (n *Node) Start(ctx context.Context, advertiseAddr, joinAddr string) error {
-	self := Member{ID: n.cfg.ID, Addr: advertiseAddr, Role: RoleMember}
-	if joinAddr == "" {
-		if addr, became := n.bootstrapCoordinator(self); became {
-			n.loops.Add(1)
-			go n.runLoop(ctx)
-			n.startReplicator(ctx)
-			n.cfg.Logf("cluster: %s coordinating at %s", self.ID, advertiseAddr)
-			return nil
-		} else {
-			joinAddr = addr
-			n.cfg.Logf("cluster: %s found a live coordinator lease, joining %s as a member", self.ID, addr)
-		}
+// Start brings the node online: it takes its member lease in the shared
+// cache directory, advertising advertiseAddr (the base URL other members
+// reach it at), reads the first view, and starts the control loop. It
+// fails if a live lease for this member ID is held at another address.
+// The loop stops when ctx is cancelled, Kill is called, or Drain
+// completes.
+func (n *Node) Start(ctx context.Context, advertiseAddr string) error {
+	if err := n.join(advertiseAddr); err != nil {
+		return err
 	}
-	n.mu.Lock()
-	n.self = self
-	n.coordAddr = joinAddr
-	n.lastBeat = n.now()
-	n.lastContact = n.now()
-	n.mu.Unlock()
-	v, err := n.postMember(ctx, joinAddr+"/cluster/join", self)
-	if err != nil {
-		// The join target may itself have died or been demoted since the
-		// operator copied its address; the coordinator record in the shared
-		// cache names the live one.
-		rec, ok := n.readCoordRecord()
-		if !ok || rec.Addr == joinAddr || rec.ID == n.cfg.ID {
-			return fmt.Errorf("cluster: join %s: %w", joinAddr, err)
-		}
-		n.cfg.Logf("cluster: %s join %s failed (%v); retrying via coordinator record at %s",
-			self.ID, joinAddr, err, rec.Addr)
-		joinAddr = rec.Addr
-		n.mu.Lock()
-		n.coordAddr = joinAddr
-		n.mu.Unlock()
-		if v, err = n.postMember(ctx, joinAddr+"/cluster/join", self); err != nil {
-			return fmt.Errorf("cluster: join %s: %w", joinAddr, err)
-		}
-	}
-	n.setView(v)
 	n.loops.Add(1)
 	go n.runLoop(ctx)
-	n.startReplicator(ctx)
-	n.cfg.Logf("cluster: %s joined %s (epoch %d)", self.ID, joinAddr, v.Epoch)
+	v := n.View()
+	n.cfg.Logf("cluster: %s joined at %s (epoch %d, %d members)", n.cfg.ID, advertiseAddr, v.Epoch, len(v.Members))
 	return nil
 }
 
-// Kill stops the node's background loops without leaving the cluster or
+// Kill stops the node's control loop without releasing its lease or
 // draining — the crash path (tests pair it with closing the listener).
-// The coordinator's failure detector must notice the silence.
+// The lease lapses after SuspectAfter and the survivors' next directory
+// read drops the node.
 func (n *Node) Kill() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.loops.Wait()
 }
 
-// Drain takes the node out of service gracefully: hand off snapshot
-// ownership by leaving the view (so new requests route to the heirs,
-// which rehydrate from the shared cache), stop heartbeating, then drain
-// the wrapped server — new work is rejected with 503, in-flight work
-// finishes (bounded by ctx).
+// Drain takes the node out of service gracefully: stop the control loop,
+// release the member lease (so the survivors' next directory read hands
+// its snapshots to the heirs, which rehydrate from the shared cache),
+// then drain the wrapped server — new work is rejected with 503,
+// in-flight work finishes (bounded by ctx).
 func (n *Node) Drain(ctx context.Context) error {
 	n.mu.Lock()
 	already := n.draining
 	n.draining = true
-	coordinator, coordAddr, self := n.coordinator, n.coordAddr, n.self
 	n.mu.Unlock()
 	if !already {
-		if coordinator {
-			n.mu.Lock()
-			if n.removeMemberLocked(self.ID) {
-				n.view.Epoch++
-			}
-			lease := n.lease
-			n.lease = nil
-			n.mu.Unlock()
-			// Releasing (rather than letting it lapse) lets a surviving
-			// member win the coordinator race immediately instead of
-			// waiting out the suspicion window.
-			n.releaseLease(lease, "coordinator")
-		} else if _, err := n.postMember(ctx, coordAddr+"/cluster/leave", self); err != nil {
-			n.cfg.Logf("cluster: %s leave failed: %v", self.ID, err)
-		}
 		n.stopOnce.Do(func() { close(n.stop) })
 		n.loops.Wait()
-		n.cfg.Logf("cluster: %s drained out of the view", self.ID)
+		n.mu.Lock()
+		lease := n.lease
+		n.lease = nil
+		n.mu.Unlock()
+		n.releaseLease(lease, "member")
+		n.cfg.Logf("cluster: %s released its member lease", n.cfg.ID)
 	}
 	return n.inner.Drain(ctx)
 }
@@ -314,88 +230,20 @@ func (n *Node) View() View {
 	return n.view.clone()
 }
 
-// setView adopts a newer view learned from the coordinator — and, on
-// members, re-derives the coordinator address from it, so heartbeats and
-// forwarding retries follow a coordinator change instead of polling the
-// corpse of the node they first joined.
-func (n *Node) setView(v View) {
-	n.mu.Lock()
-	if v.Epoch > n.view.Epoch {
-		n.view = v.clone()
-		if !n.coordinator {
-			for _, m := range n.view.Members {
-				if m.Role == RoleCoordinator && m.ID != n.self.ID && m.Addr != "" {
-					n.coordAddr = m.Addr
-				}
-			}
-		}
-	}
-	n.mu.Unlock()
-}
-
-// setMemberLocked upserts a member into the sorted view, reporting
-// whether the view changed. Callers hold n.mu and bump the epoch on
-// change.
-func (n *Node) setMemberLocked(m Member) bool {
-	for i, cur := range n.view.Members {
-		if cur.ID == m.ID {
-			if cur == m {
-				return false
-			}
-			n.view.Members[i] = m
-			return true
-		}
-	}
-	n.view.Members = append(n.view.Members, m)
-	sort.Slice(n.view.Members, func(i, j int) bool {
-		return n.view.Members[i].ID < n.view.Members[j].ID
-	})
-	return true
-}
-
-// removeMemberLocked drops a member from the view, reporting whether it
-// was present. Callers hold n.mu and bump the epoch on change.
-func (n *Node) removeMemberLocked(id string) bool {
-	for i, cur := range n.view.Members {
-		if cur.ID == id {
-			n.view.Members = append(n.view.Members[:i], n.view.Members[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // nodeCounters is the node's hot-path instrumentation.
 type nodeCounters struct {
-	forwarded         atomic.Int64
-	forwardRetries    atomic.Int64
-	forwardLoops      atomic.Int64
-	forwardFailed     atomic.Int64
-	relayed429        atomic.Int64
-	relayed503        atomic.Int64
-	heartbeatsSent    atomic.Int64
-	heartbeatsMissed  atomic.Int64
-	heartbeatsDropped atomic.Int64
-	membersFailed     atomic.Int64
-	rehydrations      atomic.Int64
-	manifestPuts      atomic.Int64
-	sweepClassesIn    atomic.Int64
-	sweepFallback     atomic.Int64
-
-	// Coordinator failover (promote.go).
-	promotions     atomic.Int64
-	demotions      atomic.Int64
-	coordAdoptions atomic.Int64
-	promoteStalled atomic.Int64
-
-	// Heir replication (replicate.go). The first five are counters; the
-	// last three are gauges rewritten after every replication round.
-	replRounds        atomic.Int64
-	replWarm          atomic.Int64
-	replFetched       atomic.Int64
-	replErrors        atomic.Int64
-	replStalled       atomic.Int64
-	replHeirSnapshots atomic.Int64
-	replKeys          atomic.Int64
-	replLag           atomic.Int64
+	forwarded      atomic.Int64
+	forwardRetries atomic.Int64
+	forwardLoops   atomic.Int64
+	forwardFailed  atomic.Int64
+	relayed429     atomic.Int64
+	relayed503     atomic.Int64
+	renewals       atomic.Int64
+	renewFailed    atomic.Int64
+	renewDropped   atomic.Int64
+	membersLeft    atomic.Int64
+	rehydrations   atomic.Int64
+	manifestPuts   atomic.Int64
+	sweepClassesIn atomic.Int64
+	sweepFallback  atomic.Int64
 }

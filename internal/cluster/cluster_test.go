@@ -39,9 +39,9 @@ type testNode struct {
 	ts  *httptest.Server
 }
 
-// startNode builds and starts a member. join == "" makes it the
-// coordinator.
-func startNode(t *testing.T, id, join string, scfg server.Config, ccfg cluster.Config) *testNode {
+// startNode builds and starts a member. Members of one cluster share
+// scfg.CacheDir: the directory is the membership authority.
+func startNode(t *testing.T, id string, scfg server.Config, ccfg cluster.Config) *testNode {
 	t.Helper()
 	if scfg.Seed == 0 {
 		scfg.Seed = 1
@@ -60,14 +60,14 @@ func startNode(t *testing.T, id, join string, scfg server.Config, ccfg cluster.C
 	ts := httptest.NewServer(n.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(n.Kill)
-	if err := n.Start(context.Background(), ts.URL, join); err != nil {
+	if err := n.Start(context.Background(), ts.URL); err != nil {
 		t.Fatal(err)
 	}
 	return &testNode{id: id, srv: srv, n: n, ts: ts}
 }
 
-// fastCfg keeps membership churn quick for tests that wait on the
-// failure detector.
+// fastCfg keeps membership churn quick for tests that wait on a lease
+// to lapse.
 func fastCfg(hb time.Duration) cluster.Config {
 	return cluster.Config{Heartbeat: hb, SuspectAfter: 4 * hb, FailoverWait: 8 * hb}
 }
@@ -194,40 +194,43 @@ func TestOwnerOfProperties(t *testing.T) {
 
 func TestMembershipJoinDetectorAndReadmission(t *testing.T) {
 	hb := 25 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{}, fastCfg(hb))
-	n3 := startNode(t, "m3", n1.ts.URL, server.Config{}, fastCfg(hb))
+	dir := t.TempDir()
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir}, fastCfg(hb))
+	n3 := startNode(t, "m3", server.Config{CacheDir: dir}, fastCfg(hb))
 
+	// Every member reads the same view from the shared directory.
 	v := waitMembers(t, n1, 3, 2*time.Second)
-	if v.Members[0].Role != cluster.RoleCoordinator || v.Members[1].Role != cluster.RoleMember {
-		t.Fatalf("roles: %+v", v.Members)
+	if v2 := waitMembers(t, n2, 3, 2*time.Second); v2.Epoch != v.Epoch {
+		t.Fatalf("same member set at epochs %d and %d", v.Epoch, v2.Epoch)
 	}
-	// Members learn the view from heartbeat responses.
-	waitMembers(t, n2, 3, 2*time.Second)
 
-	// Partition m3: its heartbeats are injected to fail. The detector
-	// must reap it within the suspicion window.
-	restore := faults.Activate(faults.New().Enable("cluster-heartbeat", "m3", faults.Rule{Kind: faults.Error}))
+	// Partition m3: its lease renewals are injected to fail. Its lease
+	// must lapse and drop it from the others' views within the window.
+	restore := faults.Activate(faults.New().Enable("cluster-renew", "m3", faults.Rule{Kind: faults.Error}))
 	epochBefore := n1.n.View().Epoch
 	v = waitMembers(t, n1, 2, 2*time.Second)
 	if v.Epoch <= epochBefore {
 		t.Fatalf("epoch did not advance on failure: %d -> %d", epochBefore, v.Epoch)
 	}
-	if n1.n.Metrics().MembersFailed != 1 {
+	if n1.n.Metrics().MembersLeft != 1 {
 		t.Fatalf("metrics: %+v", n1.n.Metrics())
 	}
-	if m := n3.n.Metrics(); m.HeartbeatsDropped == 0 {
-		t.Fatalf("partition never dropped a heartbeat: %+v", m)
+	if m := n3.n.Metrics(); m.RenewDropped == 0 {
+		t.Fatalf("partition never dropped a renewal: %+v", m)
 	}
 
-	// Heal the partition: the next heartbeat re-admits m3.
+	// Heal the partition: the next renewal readmits m3 at a higher epoch.
 	restore()
-	waitMembers(t, n1, 3, 2*time.Second)
+	evicted := v.Epoch
+	if v = waitMembers(t, n1, 3, 2*time.Second); v.Epoch <= evicted {
+		t.Fatalf("readmission at epoch %d, not past the eviction's %d", v.Epoch, evicted)
+	}
 
 	// Graceful drain: m3 leaves the view and its server sheds new work.
 	// Pick a name m3 believes it owns so the post-drain probe is served
 	// locally rather than forwarded to a healthy member.
-	owned := ownedBy(t, n3.n.View().Members, "m3", "")
+	owned := ownedBy(t, waitMembers(t, n3, 3, 2*time.Second).Members, "m3", "")
 	resp, _ := doJSON(t, n3.ts.Client(), http.MethodPost, n3.ts.URL+"/cluster/drain", nil, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain status %d", resp.StatusCode)
@@ -259,8 +262,8 @@ func TestMembershipJoinDetectorAndReadmission(t *testing.T) {
 func TestForwardingOwnershipAndManifest(t *testing.T) {
 	dir := t.TempDir()
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 
 	texts := smallFabric("sm")
@@ -315,9 +318,9 @@ func TestForwardingOwnershipAndManifest(t *testing.T) {
 // header — and without counting as the forwarder's own shedding.
 func TestForwardRelaysShedding(t *testing.T) {
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL,
-		server.Config{MaxConcurrent: 1, MaxQueue: -1, QueueWait: 7 * time.Second, Seed: 2}, fastCfg(hb))
+	dir := t.TempDir()
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, MaxConcurrent: 1, MaxQueue: -1, QueueWait: 7 * time.Second, Seed: 2}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 
 	texts := smallFabric("sm")
@@ -375,9 +378,9 @@ func TestForwardRelaysShedding(t *testing.T) {
 // (and trip counter) must stay untouched.
 func TestBreakerUnderForwarding(t *testing.T) {
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL,
-		server.Config{Retries: -1, BreakerThreshold: 2, BreakerCooldown: time.Minute, Seed: 2}, fastCfg(hb))
+	dir := t.TempDir()
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Retries: -1, BreakerThreshold: 2, BreakerCooldown: time.Minute, Seed: 2}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 
 	texts := smallFabric("sm")
@@ -426,8 +429,8 @@ func TestBreakerUnderForwarding(t *testing.T) {
 func TestDrainHandsOffOwnershipAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 
 	texts := smallFabric("sm")

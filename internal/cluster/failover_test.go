@@ -1,37 +1,38 @@
 package cluster_test
 
-// End-to-end coordinator failover and heir replication over real HTTP
+// End-to-end failover and membership-authority tests over real HTTP
 // listeners. These run in tier-1 (no race tag) on the small fabric with
 // test-fast heartbeats; the 204-device versions live in the chaos suite.
 
 import (
+	"fmt"
+	"maps"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
+	"repro/internal/diskcache"
 	"repro/internal/server"
 )
 
-// TestCoordinatorFailoverEndToEnd kills the coordinator of a 3-member
-// cluster. Exactly one survivor must win the lease race and promote with
-// a strictly higher epoch, the other must converge on it through the
-// shared record, questions for the dead coordinator's snapshot must keep
-// answering (the heir rehydrates warm), and a latecomer pointed at the
-// dead coordinator's address must still join via the record.
-func TestCoordinatorFailoverEndToEnd(t *testing.T) {
+// TestSeedMemberFailoverEndToEnd kills the first-started member of a
+// 3-member cluster, which also owns a snapshot. Both survivors must agree
+// on one 2-member view at a strictly higher epoch, questions for the dead
+// member's snapshot must keep answering identically (the heir rehydrates
+// warm), and a latecomer needs nothing but the shared directory to join.
+func TestSeedMemberFailoverEndToEnd(t *testing.T) {
 	texts := smallFabric("cf")
 	dir := t.TempDir()
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
-	n3 := startNode(t, "m3", n1.ts.URL, server.Config{CacheDir: dir, Seed: 3}, fastCfg(hb))
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
+	n3 := startNode(t, "m3", server.Config{CacheDir: dir, Seed: 3}, fastCfg(hb))
 	v := waitMembers(t, n1, 3, 2*time.Second)
 	epoch0 := v.Epoch
 
-	// A snapshot owned by the coordinator itself, falling over to m3.
+	// A snapshot owned by the seed member, falling over to m3.
 	name := ownedBy(t, v.Members, "m1", "m3")
 	c := n2.ts.Client()
 	resp, body := doJSON(t, c, http.MethodPut, n2.ts.URL+"/snapshots/"+name,
@@ -46,151 +47,131 @@ func TestCoordinatorFailoverEndToEnd(t *testing.T) {
 		t.Fatalf("warm answer empty: %v", warm)
 	}
 
-	// Kill the coordinator: sever connections, stop its loops.
+	// Kill the seed member: sever connections, stop its loop.
 	n1.ts.Listener.Close()
 	n1.ts.CloseClientConnections()
 	n1.n.Kill()
 
-	// One survivor promotes; both converge on a 2-member view.
+	// Both survivors converge on one view without it.
 	deadline := time.Now().Add(5 * time.Second)
-	var coord, follower *testNode
-	for coord == nil {
+	for {
+		v2, v3 := n2.n.View(), n3.n.View()
+		if len(v2.Members) == 2 && v2.Epoch == v3.Epoch {
+			v = v2
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no survivor promoted: m2=%+v m3=%+v", n2.n.Metrics(), n3.n.Metrics())
+			t.Fatalf("survivors never agreed: m2=%+v m3=%+v", v2, v3)
 		}
-		m2m, m3m := n2.n.Metrics(), n3.n.Metrics()
-		switch {
-		case m2m.Role == cluster.RoleCoordinator && m2m.Members == 2 && m3m.Members == 2:
-			coord, follower = n2, n3
-		case m3m.Role == cluster.RoleCoordinator && m3m.Members == 2 && m2m.Members == 2:
-			coord, follower = n3, n2
-		default:
-			time.Sleep(5 * time.Millisecond)
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	cm := coord.n.Metrics()
-	if cm.Epoch <= epoch0 {
-		t.Fatalf("epoch did not advance across failover: %d <= %d", cm.Epoch, epoch0)
+	if v.Epoch <= epoch0 {
+		t.Fatalf("epoch did not advance across failover: %d <= %d", v.Epoch, epoch0)
 	}
-	if !cm.LeaseHeld || cm.Promotions == 0 {
-		t.Fatalf("new coordinator without lease or promotion: %+v", cm)
-	}
-	if fm := follower.n.Metrics(); fm.Role != cluster.RoleMember || fm.LeaseHeld {
-		t.Fatalf("split brain: follower %s claims coordination: %+v", follower.id, fm)
-	}
-	if fm := follower.n.Metrics(); fm.CoordAdoptions == 0 {
-		t.Fatalf("follower never adopted the successor from the record: %+v", fm)
-	}
-	for _, m := range coord.n.View().Members {
+	for _, m := range v.Members {
 		if m.ID == "m1" {
-			t.Fatalf("dead coordinator still in the view: %+v", coord.n.View())
+			t.Fatalf("dead member still in the view: %+v", v)
+		}
+	}
+	for _, nd := range []*testNode{n2, n3} {
+		if m := nd.n.Metrics(); !m.LeaseHeld || m.MembersLeft == 0 {
+			t.Fatalf("%s after failover: %+v", nd.id, m)
 		}
 	}
 
-	// The dead coordinator's snapshot keeps answering identically: the
-	// heir rehydrates it warm from the shared cache.
-	_, after := doJSON(t, follower.ts.Client(), http.MethodGet,
-		follower.ts.URL+"/snapshots/"+name+q, nil, nil)
+	// The dead member's snapshot keeps answering identically: the heir
+	// rehydrates it warm from the shared cache.
+	_, after := doJSON(t, c, http.MethodGet, n2.ts.URL+"/snapshots/"+name+q, nil, nil)
 	if after["text"] != want {
 		t.Fatalf("post-failover answer differs:\n--- got ---\n%v\n--- want ---\n%s", after["text"], want)
 	}
 	if r := n3.n.Metrics().Rehydrations; r != 1 {
 		t.Fatalf("heir rehydrations = %d, want 1", r)
 	}
+	if d := n3.srv.Metrics().Disk; d.Hits == 0 {
+		t.Fatalf("heir rebuilt cold (no shared-cache hits): %+v", d)
+	}
 
-	// A latecomer still pointed at the dead coordinator joins through the
-	// record fallback in Start.
-	n4 := startNode(t, "m4", n1.ts.URL, server.Config{CacheDir: dir, Seed: 4}, fastCfg(hb))
+	// A latecomer joins through the directory alone.
+	n4 := startNode(t, "m4", server.Config{CacheDir: dir, Seed: 4}, fastCfg(hb))
 	waitMembers(t, n4, 3, 2*time.Second)
+	waitMembers(t, n2, 3, 2*time.Second)
 }
 
-// TestHeirReplicationAcrossSplitCaches runs a 2-member cluster whose
-// members do NOT share a cache directory, so the anti-entropy replicator
-// must move manifest and artifact bytes over /cluster/artifact. Once the
-// heir reports zero lag, the owner (also the coordinator) is killed with
-// a parse-stage fault armed: the survivor must promote itself and answer
-// the dead owner's question from its own pre-replicated cache — zero
-// cold parses.
-func TestHeirReplicationAcrossSplitCaches(t *testing.T) {
-	texts := smallFabric("rp")
-	hb := 50 * time.Millisecond
-	ccfg := fastCfg(hb)
-	ccfg.ReplicateEvery = hb // anti-entropy fast enough to observe
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: t.TempDir()}, ccfg)
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: t.TempDir(), Seed: 2}, ccfg)
-	v := waitMembers(t, n1, 2, 2*time.Second)
-	name := ownedBy(t, v.Members, "m1", "m2")
-
-	c := n1.ts.Client()
-	resp, body := doJSON(t, c, http.MethodPut, n1.ts.URL+"/snapshots/"+name,
-		map[string]any{"configs": texts}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("load: %d %v", resp.StatusCode, body)
-	}
-	q := "/reachability?" + srcQuery(texts)
-	_, warm := doJSON(t, c, http.MethodGet, n1.ts.URL+"/snapshots/"+name+q, nil, nil)
-	want, _ := warm["text"].(string)
-	if want == "" {
-		t.Fatalf("warm answer empty: %v", warm)
-	}
-
-	// Wait for the heir to be fully warm: every artifact key fetched.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rs := n2.n.Metrics().Replication
-		if rs.HeirSnapshots >= 1 && rs.Keys > 0 && rs.Lag == 0 && rs.Fetched > 0 {
-			break
+// TestSplitCacheDirsAreSeparateAuthorities is the split-brain regression:
+// 3 members that do NOT share a cache directory, then the first-started
+// one is killed. Each directory is its own membership authority, so every
+// view may name only the members whose leases live in that node's
+// directory — here, the node itself — and no directory's epoch may ever
+// name two different memberships, before or after the kill.
+func TestSplitCacheDirsAreSeparateAuthorities(t *testing.T) {
+	hb := 25 * time.Millisecond
+	var nodes []*testNode
+	var dirs []*diskcache.Cache
+	for i := 1; i <= 3; i++ {
+		dir := t.TempDir()
+		nodes = append(nodes, startNode(t, fmt.Sprintf("m%d", i),
+			server.Config{CacheDir: dir, Seed: int64(i)}, fastCfg(hb)))
+		d, err := diskcache.Open(dir, diskcache.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("heir never warmed: %+v", rs)
+		dirs = append(dirs, d)
+	}
+	named := make([]map[int64]string, len(nodes)) // per directory: epoch → membership
+	for i := range named {
+		named[i] = make(map[int64]string)
+	}
+	check := func(alive []int) {
+		t.Helper()
+		for _, i := range alive {
+			nd := nodes[i]
+			v := nd.n.View()
+			_, holders, err := dirs[i].LiveLeases(cluster.MemberLeasePrefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string]string, len(v.Members))
+			var key []string
+			for _, m := range v.Members {
+				got[m.ID] = m.Addr
+				key = append(key, m.ID+"="+m.Addr)
+			}
+			if !maps.Equal(got, holders) || len(got) != 1 || got[nd.id] != nd.ts.URL {
+				t.Fatalf("%s view %+v names members outside its directory's leases %v", nd.id, v, holders)
+			}
+			if prev, ok := named[i][v.Epoch]; ok && prev != strings.Join(key, ",") {
+				t.Fatalf("%s directory epoch %d names both {%s} and {%s}", nd.id, v.Epoch, prev, strings.Join(key, ","))
+			}
+			named[i][v.Epoch] = strings.Join(key, ",")
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	for end := time.Now().Add(10 * hb); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		check([]int{0, 1, 2})
 	}
 
-	// Replication lag is operator-visible on /cluster/members.
-	_, mb := doJSON(t, c, http.MethodGet, n2.ts.URL+"/cluster/members", nil, nil)
-	if _, ok := mb["replication"]; !ok {
-		t.Fatalf("/cluster/members missing replication status: %v", mb)
+	nodes[0].ts.Listener.Close()
+	nodes[0].ts.CloseClientConnections()
+	nodes[0].n.Kill()
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		check([]int{1, 2})
 	}
-
-	// Any cold parse from here on fails the test.
-	inj := faults.New().Enable("parse", "*", faults.Rule{Kind: faults.Panic})
-	restore := faults.Activate(inj)
-	defer restore()
-
-	n1.ts.Listener.Close()
-	n1.ts.CloseClientConnections()
-	n1.n.Kill()
-
-	// The sole survivor promotes itself (its own cache anchors its lease).
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		m := n2.n.Metrics()
-		if m.Role == cluster.RoleCoordinator && m.Members == 1 {
-			break
+	for _, nd := range nodes[1:] {
+		if m := nd.n.Metrics(); !m.LeaseHeld || m.Members != 1 || m.MembersLeft != 0 {
+			t.Fatalf("%s after the kill: %+v", nd.id, m)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivor never promoted: %+v", m)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+}
 
-	// The dead owner's snapshot answers from the heir's own cache: the
-	// manifest and every artifact were replicated before the crash.
-	_, after := doJSON(t, n2.ts.Client(), http.MethodGet, n2.ts.URL+"/snapshots/"+name+q, nil, nil)
-	if after["text"] != want {
-		t.Fatalf("post-failover answer differs:\n--- got ---\n%v\n--- want ---\n%s", after["text"], want)
+// TestNewNodeRequiresDiskCache: without a disk cache there is no
+// membership authority, so a node is refused at construction.
+func TestNewNodeRequiresDiskCache(t *testing.T) {
+	srv, err := server.New(server.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := n2.n.Metrics()
-	if m.Rehydrations != 1 {
-		t.Fatalf("rehydrations = %d, want 1", m.Rehydrations)
-	}
-	if d := n2.srv.Metrics().Disk; d.Hits == 0 {
-		t.Fatalf("heir rebuilt cold — no local cache hits: %+v", d)
-	}
-	for k, hits := range inj.Hits() {
-		if strings.HasPrefix(k, "parse/") {
-			t.Fatalf("cold parse reached the armed fault: %s fired %d times", k, hits)
-		}
+	_, err = cluster.NewNode(cluster.Config{ID: "m1", Server: srv})
+	if err == nil || !strings.Contains(err.Error(), "disk cache") {
+		t.Fatalf("NewNode without a disk cache: err = %v", err)
 	}
 }

@@ -22,7 +22,7 @@ var relayHeaders = []string{"Content-Type", "Retry-After", server.ExitCodeHeader
 // status — the owner's 429/503/404 are real answers, not transport
 // failures). On a transport error or a 502 ownership disagreement the
 // owner is presumed dead or the view stale, so the forwarder waits for
-// the view epoch to advance (the failure detector's job), re-resolves
+// the view epoch to advance (the dead owner's lease lapsing), re-resolves
 // the owner, and retries — at most ForwardRetries times, each bounded by
 // FailoverWait. Ownership may fail over to this node itself, in which
 // case the request is served locally.
@@ -127,9 +127,9 @@ func (n *Node) copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// awaitViewChange polls the coordinator until the view epoch passes
+// awaitViewChange re-reads the directory until the view epoch passes
 // sinceEpoch, the failover wait elapses, or the request dies. It returns
-// the freshest view seen and whether it actually changed.
+// the freshest routing view seen and whether it actually changed.
 func (n *Node) awaitViewChange(r *http.Request, sinceEpoch int64) (View, bool) {
 	ctx := r.Context()
 	deadline := n.now().Add(n.cfg.FailoverWait)
@@ -138,7 +138,8 @@ func (n *Node) awaitViewChange(r *http.Request, sinceEpoch int64) (View, bool) {
 		poll = 50 * time.Millisecond
 	}
 	for {
-		v := n.fetchView(ctx)
+		n.refreshView()
+		v := n.routeView()
 		if v.Epoch > sinceEpoch {
 			return v, true
 		}

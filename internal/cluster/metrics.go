@@ -5,81 +5,38 @@ package cluster
 // server.SetClusterMetrics).
 type Metrics struct {
 	MemberID string `json:"member_id"`
-	Role     string `json:"role"`
 	Epoch    int64  `json:"epoch"`
 	Members  int    `json:"members"`
 	Draining bool   `json:"draining"`
+	// LeaseHeld reports whether this node's member lease is provably live
+	// (renewed within its TTL) — when false it routes as a non-member.
+	LeaseHeld bool `json:"lease_held"`
 
-	Forwarded         int64 `json:"forwarded"`
-	ForwardRetries    int64 `json:"forward_retries"`
-	ForwardLoops      int64 `json:"forward_loops"`
-	ForwardFailed     int64 `json:"forward_failed"`
-	Relayed429        int64 `json:"relayed_429"`
-	Relayed503        int64 `json:"relayed_503"`
-	HeartbeatsSent    int64 `json:"heartbeats_sent"`
-	HeartbeatsMissed  int64 `json:"heartbeats_missed"`
-	HeartbeatsDropped int64 `json:"heartbeats_dropped"`
-	MembersFailed     int64 `json:"members_failed"`
-	Rehydrations      int64 `json:"rehydrations"`
-	ManifestPuts      int64 `json:"manifest_puts"`
-	SweepClassesIn    int64 `json:"sweep_classes_in"`
-	SweepFallback     int64 `json:"sweep_fallback"`
-
-	// Coordinator failover.
-	LeaseHeld      bool  `json:"lease_held"`
-	Promotions     int64 `json:"promotions"`
-	Demotions      int64 `json:"demotions"`
-	CoordAdoptions int64 `json:"coord_adoptions"`
-	PromoteStalled int64 `json:"promote_stalled"`
-
-	// Heir replication.
-	Replication ReplicationStatus `json:"replication"`
-}
-
-// ReplicationStatus summarizes the heir replicator: what this node is
-// heir to, how warm it is (Lag is the number of artifact keys still
-// absent locally — zero means failover rehydration is fully warm), and
-// the work done getting there. Exposed in both /metrics and
-// /cluster/members.
-type ReplicationStatus struct {
-	HeirSnapshots int64 `json:"heir_snapshots"`
-	Keys          int64 `json:"keys"`
-	Lag           int64 `json:"lag"`
-	Warm          int64 `json:"warm"`
-	Fetched       int64 `json:"fetched"`
-	Rounds        int64 `json:"rounds"`
-	Errors        int64 `json:"errors"`
-	Stalled       int64 `json:"stalled"`
-}
-
-// replicationStatus snapshots the replicator's counters and gauges.
-func (n *Node) replicationStatus() ReplicationStatus {
-	return ReplicationStatus{
-		HeirSnapshots: n.m.replHeirSnapshots.Load(),
-		Keys:          n.m.replKeys.Load(),
-		Lag:           n.m.replLag.Load(),
-		Warm:          n.m.replWarm.Load(),
-		Fetched:       n.m.replFetched.Load(),
-		Rounds:        n.m.replRounds.Load(),
-		Errors:        n.m.replErrors.Load(),
-		Stalled:       n.m.replStalled.Load(),
-	}
+	Forwarded      int64 `json:"forwarded"`
+	ForwardRetries int64 `json:"forward_retries"`
+	ForwardLoops   int64 `json:"forward_loops"`
+	ForwardFailed  int64 `json:"forward_failed"`
+	Relayed429     int64 `json:"relayed_429"`
+	Relayed503     int64 `json:"relayed_503"`
+	LeaseRenewals  int64 `json:"lease_renewals"`
+	RenewFailed    int64 `json:"renew_failed"`
+	RenewDropped   int64 `json:"renew_dropped"`
+	MembersLeft    int64 `json:"members_left"`
+	Rehydrations   int64 `json:"rehydrations"`
+	ManifestPuts   int64 `json:"manifest_puts"`
+	SweepClassesIn int64 `json:"sweep_classes_in"`
+	SweepFallback  int64 `json:"sweep_fallback"`
 }
 
 // Metrics snapshots the node's counters and membership state.
 func (n *Node) Metrics() Metrics {
 	n.mu.Lock()
-	role := RoleMember
-	if n.coordinator {
-		role = RoleCoordinator
-	}
 	m := Metrics{
 		MemberID:  n.cfg.ID,
-		Role:      role,
 		Epoch:     n.view.Epoch,
 		Members:   len(n.view.Members),
 		Draining:  n.draining,
-		LeaseHeld: n.lease != nil,
+		LeaseHeld: n.lease != nil && n.leaseFreshLocked(),
 	}
 	n.mu.Unlock()
 	m.Forwarded = n.m.forwarded.Load()
@@ -88,18 +45,13 @@ func (n *Node) Metrics() Metrics {
 	m.ForwardFailed = n.m.forwardFailed.Load()
 	m.Relayed429 = n.m.relayed429.Load()
 	m.Relayed503 = n.m.relayed503.Load()
-	m.HeartbeatsSent = n.m.heartbeatsSent.Load()
-	m.HeartbeatsMissed = n.m.heartbeatsMissed.Load()
-	m.HeartbeatsDropped = n.m.heartbeatsDropped.Load()
-	m.MembersFailed = n.m.membersFailed.Load()
+	m.LeaseRenewals = n.m.renewals.Load()
+	m.RenewFailed = n.m.renewFailed.Load()
+	m.RenewDropped = n.m.renewDropped.Load()
+	m.MembersLeft = n.m.membersLeft.Load()
 	m.Rehydrations = n.m.rehydrations.Load()
 	m.ManifestPuts = n.m.manifestPuts.Load()
 	m.SweepClassesIn = n.m.sweepClassesIn.Load()
 	m.SweepFallback = n.m.sweepFallback.Load()
-	m.Promotions = n.m.promotions.Load()
-	m.Demotions = n.m.demotions.Load()
-	m.CoordAdoptions = n.m.coordAdoptions.Load()
-	m.PromoteStalled = n.m.promoteStalled.Load()
-	m.Replication = n.replicationStatus()
 	return m
 }

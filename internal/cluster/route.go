@@ -16,14 +16,9 @@ import (
 // routes wires the node's mux: cluster control endpoints first, then the
 // catch-all ownership router in front of the wrapped server.
 func (n *Node) routes() {
-	n.mux.HandleFunc("POST /cluster/join", n.handleJoin)
-	n.mux.HandleFunc("POST /cluster/heartbeat", n.handleHeartbeat)
-	n.mux.HandleFunc("POST /cluster/leave", n.handleLeave)
 	n.mux.HandleFunc("GET /cluster/members", n.handleMembers)
 	n.mux.HandleFunc("POST /cluster/drain", n.handleClusterDrain)
 	n.mux.HandleFunc("POST /cluster/sweep-exec/{name}", n.handleSweepExec)
-	n.mux.HandleFunc("GET /cluster/replicate", n.handleReplicaList)
-	n.mux.HandleFunc("GET /cluster/artifact/{key}", n.handleArtifact)
 	n.mux.HandleFunc("/", n.route)
 }
 
@@ -49,21 +44,6 @@ func OwnerOf(members []Member, name string) Member {
 		}
 	}
 	return best
-}
-
-// HeirOf resolves the member that inherits a snapshot if its current
-// owner dies: the rendezvous winner among the remaining members. This is
-// who the replicator warms artifacts on. The zero Member is returned
-// when there is no second member.
-func HeirOf(members []Member, name string) Member {
-	owner := OwnerOf(members, name)
-	rest := make([]Member, 0, len(members))
-	for _, m := range members {
-		if m.ID != owner.ID {
-			rest = append(rest, m)
-		}
-	}
-	return OwnerOf(rest, name)
 }
 
 // snapshotPath splits a per-snapshot API path into the snapshot name and
@@ -97,7 +77,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		writeClusterError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
-	view := n.View()
+	view := n.routeView()
 	owner := OwnerOf(view.Members, name)
 	if owner.ID == "" || owner.ID == n.cfg.ID {
 		n.serveLocal(w, r, name, rest, body)
@@ -105,14 +85,13 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	}
 	if via := r.Header.Get(HopHeader); via != "" {
 		// Forwarded here by a member whose view disagrees with ours. The
-		// benign cause is our own view being stale — a failover forwarder
-		// learns a new epoch from the coordinator before we hear it in a
-		// heartbeat response — so refresh from the coordinator before
-		// judging. If the fresh view says we own it, serve; otherwise one
-		// hop is the limit: answer 502 so the sender retries against a
-		// fresher view instead of the request orbiting the cluster.
-		fresh := n.fetchView(r.Context())
-		owner = OwnerOf(fresh.Members, name)
+		// benign cause is our own view being stale — the sender read the
+		// directory after our last step — so re-read it before judging.
+		// If the fresh view says we own it, serve; otherwise one hop is
+		// the limit: answer 502 so the sender retries against a fresher
+		// view instead of the request orbiting the cluster.
+		n.refreshView()
+		owner = OwnerOf(n.routeView().Members, name)
 		if owner.ID == "" || owner.ID == n.cfg.ID {
 			n.serveLocal(w, r, name, rest, body)
 			return
@@ -141,7 +120,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, name, rest str
 		n.rehydrate(r.Context(), name)
 	}
 	if rest == "/sweep" && r.Method == http.MethodPost {
-		if view := n.View(); len(view.Members) > 1 && n.inner.HasSnapshot(name) {
+		if view := n.routeView(); len(view.Members) > 1 && n.inner.HasSnapshot(name) {
 			n.serveClusterSweep(w, r, name, body, view)
 			return
 		}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"time"
@@ -26,12 +25,6 @@ import (
 type manifest struct {
 	Name    string            `json:"name"`
 	Configs map[string]string `json:"configs"`
-	// Artifacts are the hex content-addressed keys of the snapshot's
-	// parse and data-plane artifacts at persist time — the heir
-	// replicator's shopping list when members do not share one cache
-	// directory. Informational for rehydration itself, which re-derives
-	// the same keys from the configs.
-	Artifacts []string `json:"artifacts,omitempty"`
 }
 
 // manifestKey derives the cache key for a snapshot's manifest. Unlike
@@ -43,40 +36,23 @@ func manifestKey(name string) [sha256.Size]byte {
 }
 
 // persistManifest writes the snapshot's manifest to the shared cache.
-// Best-effort: a node without a disk tier simply has no failover
-// durability (and says so once per load via Logf).
 func (n *Node) persistManifest(name string) {
-	disk := n.inner.Disk()
-	if disk == nil {
-		n.cfg.Logf("cluster: no shared cache; snapshot %s will not survive this member", name)
-		return
-	}
 	configs, ok := n.inner.SnapshotSources(name)
 	if !ok {
 		return
 	}
-	var arts []string
-	if keys, ok := n.inner.SnapshotArtifactKeys(name); ok {
-		for _, k := range keys {
-			if !k.IsZero() {
-				arts = append(arts, hex.EncodeToString(k[:]))
-			}
-		}
-	}
-	buf, err := json.Marshal(manifest{Name: name, Configs: configs, Artifacts: arts})
+	buf, err := json.Marshal(manifest{Name: name, Configs: configs})
 	if err != nil {
 		return
 	}
-	disk.Put(manifestKey(name), buf)
+	n.disk.Put(manifestKey(name), buf)
 	n.m.manifestPuts.Add(1)
 }
 
 // retireManifest removes a deleted snapshot's manifest so failover does
 // not resurrect it.
 func (n *Node) retireManifest(name string) {
-	if disk := n.inner.Disk(); disk != nil {
-		disk.Remove(manifestKey(name))
-	}
+	n.disk.Remove(manifestKey(name))
 }
 
 // rehydrate installs a snapshot this node owns but never loaded — the
@@ -87,11 +63,7 @@ func (n *Node) retireManifest(name string) {
 // work lands in the same shared cache. Returns whether the snapshot is
 // now present.
 func (n *Node) rehydrate(ctx context.Context, name string) bool {
-	disk := n.inner.Disk()
-	if disk == nil {
-		return false
-	}
-	lease, err := disk.AcquireLease("cluster/rehydrate/"+name, n.cfg.ID, n.cfg.FailoverWait)
+	lease, err := n.disk.AcquireLease("cluster/rehydrate/"+name, n.cfg.ID, n.cfg.FailoverWait)
 	if errors.Is(err, diskcache.ErrLeaseHeld) {
 		// Another heir is rebuilding right now. Wait one beat; whether or
 		// not it finished, fall through and rebuild from the (warm) cache.
@@ -103,7 +75,7 @@ func (n *Node) rehydrate(ctx context.Context, name string) bool {
 		case <-t.C:
 		}
 	}
-	buf, ok := disk.Get(manifestKey(name))
+	buf, ok := n.disk.Get(manifestKey(name))
 	if !ok {
 		n.releaseLease(lease, "rehydrate")
 		return false

@@ -79,12 +79,12 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 		t.Fatal("reference sweep produced no verdicts; test is vacuous")
 	}
 
-	// 2-member cluster over one shared cache; the coordinator owns the
+	// 2-member cluster over one shared cache; m1 owns the
 	// snapshot so it deals classes to the remote member.
 	dir := t.TempDir()
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 	name := ownedBy(t, v.Members, "m1", "")
 
@@ -129,8 +129,8 @@ func TestDistributedSweepRemoteFailureFallsBackLocal(t *testing.T) {
 
 	dir := t.TempDir()
 	hb := 50 * time.Millisecond
-	n1 := startNode(t, "m1", "", server.Config{CacheDir: dir}, fastCfg(hb))
-	n2 := startNode(t, "m2", n1.ts.URL, server.Config{CacheDir: dir, Seed: 2,
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, fastCfg(hb))
+	n2 := startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2,
 		MaxConcurrent: 1, MaxQueue: -1}, fastCfg(hb))
 	v := waitMembers(t, n1, 2, 2*time.Second)
 	name := ownedBy(t, v.Members, "m1", "")
@@ -168,14 +168,15 @@ func TestDistributedSweepRemoteFailureFallsBackLocal(t *testing.T) {
 }
 
 // TestForwardTransportErrorWithoutViewChange: a transport failure toward
-// a member the detector still believes is healthy exhausts the bounded
+// a member whose lease is still live exhausts the bounded
 // retry (no view change arrives) and surfaces as 502 — it does not hang
 // and does not silently retry forever.
 func TestForwardTransportErrorWithoutViewChange(t *testing.T) {
 	hb := 30 * time.Millisecond
 	cfg := cluster.Config{Heartbeat: hb, SuspectAfter: time.Minute, FailoverWait: 4 * hb}
-	n1 := startNode(t, "m1", "", server.Config{}, cfg)
-	startNode(t, "m2", n1.ts.URL, server.Config{Seed: 2}, cfg)
+	dir := t.TempDir()
+	n1 := startNode(t, "m1", server.Config{CacheDir: dir}, cfg)
+	startNode(t, "m2", server.Config{CacheDir: dir, Seed: 2}, cfg)
 	v := waitMembers(t, n1, 2, 2*time.Second)
 	name := ownedBy(t, v.Members, "m2", "")
 

@@ -1,9 +1,10 @@
 // Named leases over the shared cache directory. A lease is advisory
 // mutual exclusion between processes sharing one cache dir — the cluster
-// uses it so exactly one member rehydrates or rewrites a snapshot
-// manifest at a time. Leases carry an owner and an expiry: a holder that
-// crashes simply stops renewing, and the lease becomes a crash orphan
-// that the next Acquire (or the next Open's recovery scan) reclaims.
+// uses it so exactly one member rehydrates a snapshot at a time, and
+// holds one lease per member as its membership record (LiveLeases).
+// Leases carry an owner and an expiry: a holder that crashes simply stops
+// renewing, and the lease becomes a crash orphan that the next Acquire
+// (or the next Open's recovery scan) reclaims.
 //
 // Lease files live under leases/ at the cache root, named by the
 // hex-encoded lease name, written with temp + atomic rename under the
@@ -16,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +27,7 @@ import (
 const (
 	leasesDir   = "leases"
 	leaseSuffix = ".lease"
+	genSuffix   = ".gen"
 )
 
 // ErrLeaseHeld is returned by AcquireLease when another live owner holds
@@ -66,9 +69,10 @@ func readLease(path string) (leaseRecord, bool) {
 	return rec, true
 }
 
-// writeLease commits a lease record with temp + atomic rename. The caller
-// holds the exclusive directory flock.
-func writeLease(path string, rec leaseRecord) error {
+// writeRecord commits a JSON record (a lease, or a generation record)
+// with temp + atomic rename. The caller holds the exclusive directory
+// flock.
+func writeRecord(path string, rec any) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -126,7 +130,7 @@ func (c *Cache) AcquireLease(name, owner string, ttl time.Duration) (*Lease, err
 		c.mu.Unlock()
 	}
 	rec := leaseRecord{Owner: owner, Expires: now.Add(ttl).UnixNano()}
-	if err := writeLease(path, rec); err != nil {
+	if err := writeRecord(path, rec); err != nil {
 		return nil, fmt.Errorf("diskcache: lease write: %w", err)
 	}
 	c.mu.Lock()
@@ -146,7 +150,7 @@ func (l *Lease) Renew(ttl time.Duration) error {
 	} else if ok && rec.Owner != l.owner {
 		return fmt.Errorf("%w: expired and reclaimed by %s", ErrLeaseLost, rec.Owner)
 	}
-	return writeLease(path, leaseRecord{Owner: l.owner, Expires: l.c.now().Add(ttl).UnixNano()})
+	return writeRecord(path, leaseRecord{Owner: l.owner, Expires: l.c.now().Add(ttl).UnixNano()})
 }
 
 // Release drops the lease if this owner still holds it. Releasing a lost
@@ -165,6 +169,67 @@ func (l *Lease) Release() error {
 		}
 	}
 	return nil
+}
+
+// genRecord is the persisted generation of one lease prefix: the counter
+// and the live set it names.
+type genRecord struct {
+	Gen     int64             `json:"gen"`
+	Holders map[string]string `json:"holders"`
+}
+
+// LiveLeases returns the unexpired leases whose names start with prefix —
+// holders maps each name with the prefix cut off to its owner — and the
+// generation of that set. The generation is a counter stored next to the
+// leases together with the set it names. Both are rewritten at once,
+// under the exclusive directory flock, only when the live set differs
+// from the stored one: generations only increase, and no generation ever
+// names two different sets, whichever process reads first.
+func (c *Cache) LiveLeases(prefix string) (gen int64, holders map[string]string, err error) {
+	if c == nil {
+		return 0, nil, errors.New("diskcache: no cache")
+	}
+	unlock := c.flockExclusive()
+	defer unlock()
+	dir := filepath.Join(c.dir, leasesDir)
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return 0, nil, fmt.Errorf("diskcache: live leases: %w", err)
+	}
+	hexPrefix := hex.EncodeToString([]byte(prefix))
+	now := c.now().UnixNano()
+	holders = make(map[string]string)
+	for _, e := range entries {
+		file := e.Name()
+		hexName, ok := strings.CutSuffix(file, leaseSuffix)
+		if !ok || !strings.HasPrefix(hexName, hexPrefix) {
+			continue
+		}
+		name, err := hex.DecodeString(hexName)
+		if err != nil {
+			continue
+		}
+		if rec, ok := readLease(filepath.Join(dir, file)); ok && now < rec.Expires {
+			holders[strings.TrimPrefix(string(name), prefix)] = rec.Owner
+		}
+	}
+	genPath := filepath.Join(dir, hexPrefix+genSuffix)
+	var stored genRecord
+	if b, err := os.ReadFile(genPath); err == nil {
+		if err := json.Unmarshal(b, &stored); err != nil {
+			return 0, nil, fmt.Errorf("diskcache: generation record %s: %w", genPath, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return 0, nil, fmt.Errorf("diskcache: generation record: %w", err)
+	}
+	if stored.Gen > 0 && maps.Equal(stored.Holders, holders) {
+		return stored.Gen, holders, nil
+	}
+	next := genRecord{Gen: stored.Gen + 1, Holders: holders}
+	if err := writeRecord(genPath, next); err != nil {
+		return 0, nil, fmt.Errorf("diskcache: generation write: %w", err)
+	}
+	return next.Gen, holders, nil
 }
 
 // recoverLeases sweeps expired and unreadable lease files at Open. The

@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -137,5 +138,79 @@ func TestLeaseStealWhileHolderAlive(t *testing.T) {
 	}
 	if err := l.Renew(time.Second); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("ex-holder renew: want ErrLeaseLost, got %v", err)
+	}
+}
+
+// TestLiveLeasesGeneration: the generation moves exactly when the live
+// set under a prefix changes — a join, an expiry, a release, a rejoin —
+// never on a re-read of an unchanged set, and two handles on one
+// directory always agree on which set a generation names. Leases outside
+// the prefix never count.
+func TestLiveLeasesGeneration(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a, b := openT(t, dir, Options{}), openT(t, dir, Options{})
+	a.SetClock(clk.Now)
+	b.SetClock(clk.Now)
+	seen := make(map[int64]map[string]string)
+	read := func(c *Cache, want map[string]string) int64 {
+		t.Helper()
+		gen, holders, err := c.LiveLeases("m/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(holders, want) {
+			t.Fatalf("holders %v, want %v", holders, want)
+		}
+		if prev, ok := seen[gen]; ok && !maps.Equal(prev, holders) {
+			t.Fatalf("generation %d names both %v and %v", gen, prev, holders)
+		}
+		seen[gen] = holders
+		return gen
+	}
+
+	if g := read(a, nil); g != 1 {
+		t.Fatalf("empty directory generation %d, want 1", g)
+	}
+	if _, err := a.AcquireLease("other", "x", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if g := read(b, nil); g != 1 {
+		t.Fatalf("a lease outside the prefix moved the generation to %d", g)
+	}
+	la, err := a.AcquireLease("m/a", "http://a", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AcquireLease("m/b", "http://b", 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	both := map[string]string{"a": "http://a", "b": "http://b"}
+	g2 := read(a, both)
+	if g := read(b, both); g != g2 || g2 != 2 {
+		t.Fatalf("joins: generations %d/%d, want both 2", g2, g)
+	}
+
+	// a stops renewing: at exactly its expiry it is gone.
+	clk.Advance(time.Second)
+	onlyB := map[string]string{"b": "http://b"}
+	if g := read(b, onlyB); g != 3 {
+		t.Fatalf("expiry generation %d, want 3", g)
+	}
+	// a renews its own expired lease: readmitted at a higher generation.
+	if err := la.Renew(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if g := read(a, both); g != 4 {
+		t.Fatalf("readmission generation %d, want 4", g)
+	}
+	if err := la.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if g := read(b, onlyB); g != 5 {
+		t.Fatalf("release generation %d, want 5", g)
+	}
+	if g := read(a, onlyB); g != 5 {
+		t.Fatalf("unchanged re-read moved the generation to %d", g)
 	}
 }

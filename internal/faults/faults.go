@@ -31,7 +31,7 @@ const (
 	// exercising deadlines and cancellation promptness.
 	Sleep
 	// Error makes FireErr points return an injected error — the shape of
-	// a dropped heartbeat, a partitioned peer, or a refused connection.
+	// a dropped lease renewal, a partitioned peer, or a refused connection.
 	// Fire points (which have no error return) treat an Error rule as a
 	// no-op, so one spec can cover both hook styles safely.
 	Error
@@ -190,7 +190,7 @@ func Fire(stage, device string) {
 }
 
 // FireErr is the injection point hook for code paths that can fail with
-// an error — dropped heartbeats, partitioned forwards. Error rules return
+// an error — dropped lease renewals, partitioned forwards. Error rules return
 // an *InjectedError; panic and sleep rules behave as at Fire points.
 func FireErr(stage, device string) error {
 	if i := active.Load(); i != nil {
@@ -206,7 +206,7 @@ func FireErr(stage, device string) error {
 //
 // point is stage:device (device may be "*"); behavior is "panic",
 // "error", or "sleep:<duration>", optionally suffixed ":<count>" to bound
-// firings. "error" only bites at FireErr points (cluster heartbeats and
+// firings. "error" only bites at FireErr points (cluster lease renewals and
 // forwards); plain Fire points ignore it.
 func ParseSpec(spec string) (*Injector, error) {
 	inj := New()

@@ -44,16 +44,12 @@ func (s *Server) SnapshotSources(name string) (configs map[string]string, ok boo
 	return configs, true
 }
 
-// SnapshotNames returns the sorted names of the snapshots this server
-// currently holds.
-func (s *Server) SnapshotNames() []string { return s.names() }
-
 // SnapshotArtifactKeys returns the content-addressed keys of the named
 // snapshot's disk-persistable artifacts — the per-device parse artifacts
-// plus the data-plane artifact for its current options. This is what an
-// heir pre-replicates so failover rehydration never re-parses. ok is
-// false for unknown names and for entries whose live snapshot is torn
-// down pending a rebuild.
+// plus the data-plane artifact for its current options: what an heir's
+// failover rehydration must find in the shared cache to skip recomputing.
+// ok is false for unknown names and for entries whose live snapshot is
+// torn down pending a rebuild.
 func (s *Server) SnapshotArtifactKeys(name string) ([]pipeline.Key, bool) {
 	e, found := s.entry(name)
 	if !found {

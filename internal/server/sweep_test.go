@@ -171,4 +171,12 @@ func TestSweepEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage {
 		t.Errorf("bad timeout: status %d exit %d", resp.StatusCode, ar.ExitCode)
 	}
+	// A source naming no interface source monitors nothing; the planner
+	// refuses it rather than answering an empty sweep.
+	resp, ar = tc.do(http.MethodPost, "/snapshots/sm/sweep",
+		map[string]any{"src": []string{"sm-p01-tor01"}})
+	if resp.StatusCode != http.StatusBadRequest || ar.ExitCode != server.ExitUsage ||
+		!strings.Contains(ar.Error, `"sm-p01-tor01"`) {
+		t.Errorf("bare-device source: status %d exit %d (%s)", resp.StatusCode, ar.ExitCode, ar.Error)
+	}
 }

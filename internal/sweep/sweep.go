@@ -30,6 +30,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/fwdgraph"
 	"repro/internal/hdr"
 	"repro/internal/ip4"
 	"repro/internal/reach"
@@ -296,11 +297,24 @@ func NewPlan(base *core.Snapshot, spec Spec) (*Plan, error) {
 			len(p.scenarios), spec.MaxScenarios)
 	}
 
+	// A listed source the graph does not know would monitor nothing: the
+	// cone is empty, every scenario prunes, and the sweep reports zero
+	// violations without having checked anything.
+	g := base.Graph()
+	for _, src := range spec.Sources {
+		if _, ok := g.Lookup(fwdgraph.SourceName(src.Device, src.Iface)); !ok {
+			entry := src.Device
+			if src.Iface != "" {
+				entry += "/" + src.Iface
+			}
+			return nil, fmt.Errorf("sweep: source %q matches no source in the snapshot (want DEV/IFACE on an active addressed interface)", entry)
+		}
+	}
+
 	// Monitored-traffic cone: one forward pass from the monitored sources
 	// over the monitored destination space. Per-source source-IP scoping
 	// is deliberately skipped — a broader header space only widens the
 	// cone, which keeps the pruning sound.
-	g := base.Graph()
 	enc := g.Enc
 	hs := bdd.Ref(bdd.True)
 	for _, d := range spec.DstIPs {

@@ -444,3 +444,30 @@ func TestSweepSpecValidation(t *testing.T) {
 		t.Errorf("default spec enumerated %d, want %d", p.Enumerated(), wantElems)
 	}
 }
+
+// TestSweepRejectsUnknownSource: a listed source that names no source in
+// the snapshot — a bare device (the CLI's old DEV form), an unknown
+// interface, an unknown device — must fail planning with the entry named,
+// instead of pruning every scenario and reporting zero violations.
+func TestSweepRejectsUnknownSource(t *testing.T) {
+	texts := fabricTexts(t, "us")
+	base := core.LoadTextWith(pipeline.New(pipeline.Config{}), texts)
+	srcs, dst := monitored(t, base, "us-p01-tor01", "us-p01-tor02")
+	for _, tc := range []struct {
+		bad  reach.SourceLoc
+		want string
+	}{
+		{reach.SourceLoc{Device: "us-p01-tor01"}, `"us-p01-tor01"`},
+		{reach.SourceLoc{Device: "us-p01-tor01", Iface: "nosuch9"}, `"us-p01-tor01/nosuch9"`},
+		{reach.SourceLoc{Device: "nosuchdev", Iface: "host1"}, `"nosuchdev/host1"`},
+	} {
+		spec := Spec{Sources: append(append([]reach.SourceLoc(nil), srcs...), tc.bad), DstIPs: []ip4.Prefix{dst}}
+		_, err := NewPlan(base, spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("source %+v: err = %v, want one naming %s", tc.bad, err, tc.want)
+		}
+	}
+	if _, err := NewPlan(base, Spec{Sources: srcs, DstIPs: []ip4.Prefix{dst}}); err != nil {
+		t.Fatalf("valid sources rejected: %v", err)
+	}
+}
