@@ -374,29 +374,6 @@ func BenchmarkVarOrder(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E9 / §4.2.3 ablations.
 
-// BenchmarkCompress: graph compression on/off for a full all-sources
-// reachability pass.
-func BenchmarkCompress(b *testing.B) {
-	net, _ := netgen.Fabric(netgen.FabricParams{Name: "gc", Spines: 2, Pods: 3,
-		AggPerPod: 2, TorPerPod: 4, HostNetsPerTor: 1, Multipath: true, EdgeACLs: true}).Parse()
-	dp := dataplane.Run(net, dataplane.Options{})
-	g := fwdgraph.New(dp)
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"compressed", true}, {"uncompressed", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			a := reach.NewWithOptions(g, reach.Options{Compress: mode.compress})
-			b.ReportMetric(float64(a.EdgeCount()), "edges")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Forward(a.SourceSets(bdd.True))
-			}
-		})
-	}
-}
-
 // BenchmarkReverse: single-destination queries via backward propagation vs
 // one forward pass per source.
 func BenchmarkReverse(b *testing.B) {
@@ -610,7 +587,6 @@ func BenchmarkIncrementalCompare(b *testing.B) {
 		stage("parse", st.Parse)
 		stage("dp", st.DataPlane)
 		stage("graph", st.Graph)
-		stage("analysis", st.Analysis)
 		ist := base.DataPlane().Pool.Stats()
 		b.ReportMetric(float64(ist.AttrHits), "intern-attr-hits")
 		b.ReportMetric(float64(ist.AttrMisses), "intern-attr-misses")

@@ -192,7 +192,6 @@ func printCacheStats() {
 	stage("parse", st.Parse)
 	stage("dataplane", st.DataPlane)
 	stage("graph", st.Graph)
-	stage("analysis", st.Analysis)
 }
 
 func fatalf(format string, args ...any) {

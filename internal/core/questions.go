@@ -355,8 +355,8 @@ func (s *Snapshot) compareWith(after *Snapshot) []DifferentialFlows {
 	g1 := s.Graph()
 	var a1, a2 *reach.Analysis
 	if g2 := after.Graph(); g2.Enc == g1.Enc {
-		// Same pipeline encoder: the snapshots' own (possibly cached)
-		// analyses are directly comparable.
+		// Same pipeline encoder: the snapshots' own analyses are
+		// directly comparable.
 		a1 = s.Analysis()
 		a2 = after.Analysis()
 	} else {

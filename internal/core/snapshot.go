@@ -3,12 +3,13 @@
 // vendor-independent model, data plane generation, BDD-based verification,
 // and violation explanation with carefully chosen examples.
 //
-// Since PR 2 the stages themselves live in internal/pipeline: every
-// Snapshot is bound to a pipeline.Pipeline whose content-addressed
-// artifact store dedupes parse/data-plane/graph/analysis work across
-// snapshots. Loading through the package-level functions uses a shared
-// process-wide pipeline; LoadTextWith and friends accept an explicit one
-// (pass pipeline.Disabled() for the uncached reference behavior).
+// The cached stages live in internal/pipeline: every Snapshot is bound to
+// a pipeline.Pipeline whose content-addressed artifact store dedupes
+// parse/data-plane/graph work across snapshots, while each snapshot keeps
+// its own reachability analysis. Loading through the package-level
+// functions uses a shared process-wide pipeline; LoadTextWith and friends
+// accept an explicit one (pass pipeline.Disabled() for the uncached
+// reference behavior).
 //
 // The exported façade for downstream users is package batfish at the
 // repository root, which re-exports these types.
@@ -65,7 +66,6 @@ type Snapshot struct {
 	dp    *dataplane.Result
 	dpKey pipeline.Key
 	g     *fwdgraph.Graph
-	gKey  pipeline.Key
 	an    *reach.Analysis
 	tr    *traceroute.Engine
 
@@ -140,13 +140,17 @@ func LoadTextWithContext(ctx context.Context, pl *pipeline.Pipeline, texts map[s
 }
 
 // WithContext rebinds the context used by stages this snapshot has not run
-// yet and returns the snapshot for chaining. Background (and nil) unbinds:
-// stages then run uncancellable and shared-cache-eligible again.
+// yet, and by its reachability analysis, and returns the snapshot for
+// chaining. Background (and nil) unbinds: stages then run uncancellable
+// and shared-cache-eligible again.
 func (s *Snapshot) WithContext(ctx context.Context) *Snapshot {
 	if ctx == nil || ctx == context.Background() {
 		s.ctx = nil
 	} else {
 		s.ctx = ctx
+	}
+	if s.an != nil {
+		s.an.WithContext(s.ctx)
 	}
 	return s
 }
@@ -375,7 +379,7 @@ func (s *Snapshot) DataPlane() *dataplane.Result {
 func (s *Snapshot) Graph() *fwdgraph.Graph {
 	if s.g == nil {
 		if s.pl != nil {
-			s.g, s.gKey = s.pl.GraphCtx(s.context(), s.DataPlane(), s.dpKey)
+			s.g, _ = s.pl.GraphCtx(s.context(), s.DataPlane(), s.dpKey)
 		} else {
 			s.g = fwdgraph.NewContext(s.context(), s.DataPlane())
 		}
@@ -386,20 +390,13 @@ func (s *Snapshot) Graph() *fwdgraph.Graph {
 	return s.g
 }
 
-// Analysis returns the BDD reachability analysis (graph-compressed).
+// Analysis returns this snapshot's BDD reachability analysis: a private
+// view over the (possibly shared) forwarding graph, bound to the
+// snapshot's context. It is never shared across snapshots, so one
+// snapshot's cancellation can never leak into another's answers.
 func (s *Snapshot) Analysis() *reach.Analysis {
 	if s.an == nil {
-		switch {
-		case s.ctx != nil:
-			// A context-bound analysis carries mutable cancellation state,
-			// so it must be private to this snapshot: build fresh and skip
-			// the shared artifact store entirely.
-			s.an = reach.New(s.Graph()).WithContext(s.ctx)
-		case s.pl != nil:
-			s.an, _ = s.pl.Analysis(s.Graph(), s.gKey)
-		default:
-			s.an = reach.New(s.Graph())
-		}
+		s.an = reach.New(s.Graph()).WithContext(s.ctx)
 	}
 	return s.an
 }

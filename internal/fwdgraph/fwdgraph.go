@@ -57,14 +57,14 @@ type Node struct {
 
 // Edge carries packets from From to To. Traversal applies, in order:
 // intersect with Label, apply the transformation, set the zone field,
-// clear the zone field, set waypoint bits.
+// clear the zone field. Edges are immutable once built: analyses and
+// clones share them and only read them.
 type Edge struct {
 	From, To  int
 	Label     bdd.Ref        // packets that may traverse (pre-transform)
 	Tr        *hdr.Transform // optional packet transformation
 	ZoneSet   *uint32        // record the ingress zone id (erase + constrain)
 	ClearZone bool           // erase zone bits (leaving a device)
-	SetBits   []int          // waypoint bits forced to 1 on traversal
 
 	// Raw, when non-False, is the pre-filter label of a filtering edge
 	// (ingress/egress ACL, zone policy). Bidirectional analysis uses it to
@@ -88,9 +88,6 @@ func (e *Edge) Apply(enc *hdr.Enc, set bdd.Ref) bdd.Ref {
 	}
 	if e.ClearZone {
 		set = f.Exists(set, enc.ExtVarSet(0, ZoneBits))
-	}
-	for _, b := range e.SetBits {
-		set = enc.SetBit(set, b)
 	}
 	return set
 }
@@ -196,8 +193,8 @@ func BuildReplicas(dp *dataplane.Result, n int) []*Graph {
 // memoized pass. Shared subgraphs are inserted into the new factory
 // exactly once, so a clone costs O(distinct live BDD nodes) table
 // insertions instead of re-running graph construction. Immutable
-// per-edge metadata (zone id pointers, waypoint bit lists) is shared
-// with the receiver; neither side may mutate it.
+// per-edge metadata (zone id pointers) is shared with the receiver;
+// neither side may mutate it.
 func (g *Graph) Clone() *Graph {
 	enc := g.Enc.CloneEmpty()
 	m := bdd.NewMigrator(g.Enc.F, enc.F)

@@ -191,7 +191,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 // directory. Directories named testdata or vendor, hidden directories,
 // and directories without non-test Go files are skipped.
 func (l *Loader) Packages(patterns []string) ([]*Package, error) {
-	sorted, err := l.ResolveDirs(patterns)
+	sorted, err := l.resolveDirs(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -214,10 +214,9 @@ func (l *Loader) Packages(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ResolveDirs expands the CLI patterns into the sorted package
+// resolveDirs expands the CLI patterns into the sorted package
 // directories they name, without parsing or type-checking anything.
-// The run cache uses this to compute content-hash keys cheaply.
-func (l *Loader) ResolveDirs(patterns []string) ([]string, error) {
+func (l *Loader) resolveDirs(patterns []string) ([]string, error) {
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
 		switch {

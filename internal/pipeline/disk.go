@@ -6,8 +6,8 @@ package pipeline
 // device models) and dataplane (converged simulation results). Lookups
 // fall through memory → disk → compute; computes write through to both
 // tiers; entries evicted from memory demote to disk via the Store's
-// eviction callback instead of vanishing. Graph and analysis artifacts
-// are process-local by design (they embed references into the pipeline's
+// eviction callback instead of vanishing. Graph artifacts are
+// process-local by design (they embed references into the pipeline's
 // shared BDD encoder, which is meaningless across processes) and stay
 // memory-only; on a warm restart they recompute in-process from the
 // disk-tier parse and dataplane hits.
@@ -118,7 +118,7 @@ func (p *Pipeline) diskPutDataPlane(k Key, res *dataplane.Result) {
 // tier that have a disk codec are written to the disk tier (unless
 // already present), so capacity eviction and memory-pressure purges
 // degrade to a slower tier instead of losing work. Unserializable
-// artifacts (graphs, analyses) are process-local and simply drop.
+// artifacts (graphs) are process-local and simply drop.
 func (p *Pipeline) demote(k Key, v any) {
 	if p.disk == nil || k.IsZero() || p.disk.Has(k) {
 		return

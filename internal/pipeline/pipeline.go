@@ -1,18 +1,20 @@
-// Package pipeline models the four Batfish stages — Parse, DataPlane,
-// FwdGraph, Analysis — as explicit stages with declared inputs. Each stage
-// produces an artifact keyed by a content hash of exactly those inputs:
-// per-device configuration bytes for parse, and the sorted set of
-// device-model hashes plus the simulation options for everything
-// downstream. Artifacts live in a bounded in-memory Store, so two
-// snapshots that share N−K device configs reuse the K unchanged parsed
-// models for free, and byte-identical snapshots dedupe all four stages.
+// Package pipeline models the cached Batfish stages — Parse, DataPlane,
+// FwdGraph — as explicit stages with declared inputs. Each stage produces
+// an artifact keyed by a content hash of exactly those inputs: per-device
+// configuration bytes for parse, and the sorted set of device-model hashes
+// plus the simulation options for everything downstream. Artifacts live in
+// a bounded in-memory Store, so two snapshots that share N−K device
+// configs reuse the K unchanged parsed models for free, and byte-identical
+// snapshots dedupe all three stages. The reachability analysis is not a
+// stage: it is an O(1) view over the graph that carries per-snapshot
+// cancellation state, so each snapshot builds its own (core.Snapshot).
 //
 // Correctness contract: a cached artifact is only ever reused when the
 // stage inputs are byte-identical, and artifacts are treated as immutable
 // by every consumer (the simulator and the analyses read, never write,
-// parsed models and data-plane results). Determinism therefore holds by
-// construction — caching can change how fast an answer arrives, never
-// which answer.
+// parsed models, data-plane results and graphs). Determinism therefore
+// holds by construction — caching can change how fast an answer arrives,
+// never which answer.
 //
 // Graphs built by one enabled Pipeline share a single header-space
 // encoder, so analyses from different snapshots are directly comparable
@@ -34,7 +36,6 @@ import (
 	"repro/internal/diskcache"
 	"repro/internal/fwdgraph"
 	"repro/internal/hdr"
-	"repro/internal/reach"
 )
 
 // Config tunes a Pipeline.
@@ -84,7 +85,6 @@ type Stats struct {
 	Parse     StageTimes
 	DataPlane StageTimes
 	Graph     StageTimes
-	Analysis  StageTimes
 }
 
 // Pipeline runs the staged computation against one artifact store. The
@@ -101,7 +101,6 @@ type Pipeline struct {
 	parse  StageTimes
 	dp     StageTimes
 	graph  StageTimes
-	an     StageTimes
 }
 
 // New returns a caching Pipeline.
@@ -133,7 +132,6 @@ func (p *Pipeline) Stats() Stats {
 		Parse:     p.parse,
 		DataPlane: p.dp,
 		Graph:     p.graph,
-		Analysis:  p.an,
 	}
 }
 
@@ -272,24 +270,4 @@ func (p *Pipeline) GraphCtx(ctx context.Context, dp *dataplane.Result, dpKey Key
 	}
 	p.record(&p.graph, start, false)
 	return g, k
-}
-
-// Analysis builds (or reuses) the compressed reachability analysis.
-func (p *Pipeline) Analysis(g *fwdgraph.Graph, gKey Key) (*reach.Analysis, Key) {
-	start := time.Now()
-	var k Key
-	if p.store != nil && !gKey.IsZero() {
-		k = keyOf([]byte("analysis"), gKey[:])
-		if v, ok := p.store.Get(k); ok {
-			a := v.(*reach.Analysis)
-			p.record(&p.an, start, true)
-			return a, k
-		}
-	}
-	a := reach.New(g)
-	if p.store != nil && !k.IsZero() {
-		p.store.Put(k, a)
-	}
-	p.record(&p.an, start, false)
-	return a, k
 }

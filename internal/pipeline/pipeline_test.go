@@ -68,12 +68,10 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 	net1, _, keys1 := p.Parse(texts)
 	dp1, dpk1 := p.DataPlane(net1, keys1, dataplane.Options{})
 	g1, gk1 := p.Graph(dp1, dpk1)
-	a1, _ := p.Analysis(g1, gk1)
 
 	net2, _, keys2 := p.Parse(texts)
 	dp2, dpk2 := p.DataPlane(net2, keys2, dataplane.Options{})
 	g2, gk2 := p.Graph(dp2, dpk2)
-	a2, _ := p.Analysis(g2, gk2)
 
 	for name, k := range keys1 {
 		if keys2[name] != k {
@@ -81,7 +79,7 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 		}
 	}
 	// Artifact identity, not just equality: the second run must reuse the
-	// first run's parsed devices, data plane, graph, and analysis.
+	// first run's parsed devices, data plane, and graph.
 	for name, d := range net1.Devices {
 		if net2.Devices[name] != d {
 			t.Errorf("device %s re-parsed instead of reused", name)
@@ -92,9 +90,6 @@ func TestIdenticalSnapshotsDedupeAllStages(t *testing.T) {
 	}
 	if g1 != g2 || gk1 != gk2 {
 		t.Error("graph not deduped")
-	}
-	if a1 != a2 {
-		t.Error("analysis not deduped")
 	}
 	st := p.Stats()
 	if st.Store.Hits == 0 || st.Store.Evictions != 0 {

@@ -21,8 +21,8 @@ func HasTransforms(g *fwdgraph.Graph) bool {
 // ImpactSets computes, per source location, the set of headers whose
 // trajectory from that source can touch any node of a changed device —
 // the "blast radius" of a config edit. It runs one backward pass over the
-// uncompressed graph (compression would merge device nodes away), seeded
-// with the full packet space at every node belonging to a changed device.
+// graph, seeded with the full packet space at every node belonging to a
+// changed device. The pass carries no context, so it is never cut short.
 //
 // The result is a sound overapproximation: a header absent from a
 // source's impact set provably never visits a changed device, so its
@@ -30,7 +30,7 @@ func HasTransforms(g *fwdgraph.Graph) bool {
 // identical transfer functions). Sources with an empty impact set are
 // omitted entirely.
 func ImpactSets(g *fwdgraph.Graph, changed map[string]bool) map[SourceLoc]bdd.Ref {
-	a := NewWithOptions(g, Options{Compress: false})
+	a := New(g)
 	f := a.Enc.F
 	seeds := make(map[int]bdd.Ref)
 	for id := range a.G.Nodes {
@@ -64,9 +64,10 @@ func ImpactSets(g *fwdgraph.Graph, changed map[string]bool) map[SourceLoc]bdd.Re
 }
 
 // ImpactCone computes, per device, the headers with which any monitored
-// flow can touch that device: one forward pass over the uncompressed
-// graph, seeded at each monitored source with its header space. It is the
-// exact forward dual of ImpactSets — for any device d and source src,
+// flow can touch that device: one forward pass over the graph (no
+// context, so never cut short), seeded at each monitored source with its
+// header space. It is the exact forward dual of ImpactSets — for any
+// device d and source src,
 //
 //	ImpactCone(g, sources)[d] ∩ sources[src] ≠ ∅
 //	  ⟺  ImpactSets(g, {d})[src] ∩ sources[src] ≠ ∅
@@ -79,7 +80,7 @@ func ImpactSets(g *fwdgraph.Graph, changed map[string]bool) map[SourceLoc]bdd.Re
 // here replaces a per-element backward ImpactSets computation. Devices no
 // monitored header reaches are omitted from the result.
 func ImpactCone(g *fwdgraph.Graph, sources map[SourceLoc]bdd.Ref) map[string]bdd.Ref {
-	a := NewWithOptions(g, Options{Compress: false})
+	a := New(g)
 	f := a.Enc.F
 	ext := bdd.True
 	if a.Enc.L.ExtBits() > 0 {

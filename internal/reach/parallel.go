@@ -12,33 +12,27 @@ import (
 
 // QueryPool fans per-source reachability queries across replica analyses.
 // BDD factories are not safe for concurrent use and refs never cross
-// factories, so the pool holds one complete Graph+Analysis per worker
-// (fwdgraph.BuildReplicas) and shards the source list across them. Every
-// replica sees the same data plane, so per-source results are identical to
-// the serial analysis; only factory-independent values (sources, concrete
-// example packets) are returned across the pool boundary.
+// factories, so the pool holds one graph replica per worker
+// (fwdgraph.BuildReplicas), each viewed through its own Analysis, and
+// shards the source list across them. Every replica sees the same data
+// plane, so per-source results are identical to the serial analysis; only
+// factory-independent values (sources, concrete example packets) are
+// returned across the pool boundary.
 type QueryPool struct {
 	workers []*Analysis
 }
 
-// NewQueryPool builds a pool of `workers` replica analyses (graph
-// compression enabled, like New). workers <= 0 means GOMAXPROCS. Replica
-// construction itself runs in parallel.
+// NewQueryPool builds a pool of `workers` replica analyses. workers <= 0
+// means GOMAXPROCS. Replica construction itself runs in parallel.
 func NewQueryPool(dp *dataplane.Result, workers int) *QueryPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	graphs := fwdgraph.BuildReplicas(dp, workers)
 	q := &QueryPool{workers: make([]*Analysis, len(graphs))}
-	var wg sync.WaitGroup
-	wg.Add(len(graphs))
-	for i := range graphs {
-		go func(i int) {
-			defer wg.Done()
-			q.workers[i] = New(graphs[i])
-		}(i)
+	for i, g := range graphs {
+		q.workers[i] = New(g)
 	}
-	wg.Wait()
 	return q
 }
 

@@ -160,27 +160,18 @@ type WaypointResult struct {
 // device (paper §4.2.3: the typical verification "requires only 1 bit").
 func (a *Analysis) Waypoint(src SourceLoc, dstDevice, waypoint string, hs bdd.Ref) (WaypointResult, bool) {
 	wpVar := a.Enc.L.ExtVar(fwdgraph.ZoneBits) // first waypoint bit
-	// Instrument: edges into the waypoint's forwarding node(s) set the bit.
-	saved := make(map[int][]int)
-	for i := range a.edges {
-		e := &a.edges[i]
-		to := a.G.Nodes[e.To]
-		if to.Kind == fwdgraph.KindFwd && to.Node_ == waypoint {
-			saved[i] = e.SetBits
-			e.SetBits = append(append([]int(nil), e.SetBits...), wpVar)
-		}
-	}
-	defer func() {
-		for i, bits := range saved {
-			a.edges[i].SetBits = bits
-		}
-	}()
-
 	start, ok := a.SingleSource(src.Device, src.Iface, hs)
 	if !ok {
 		return WaypointResult{}, false
 	}
-	r := a.Forward(start)
+	// Contributions into the waypoint's forwarding node(s) set the bit.
+	setBit := make(map[int]int)
+	for id, n := range a.G.Nodes {
+		if n.Kind == fwdgraph.KindFwd && n.Node_ == waypoint {
+			setBit[id] = wpVar
+		}
+	}
+	r := a.forward(start, nil, setBit)
 	f := a.Enc.F
 	delivered := bdd.False
 	for id, set := range r {
@@ -257,7 +248,7 @@ func (a *Analysis) Bidirectional(src SourceLoc, dstDevice string, hs bdd.Ref) (B
 			retStart[id] = ret
 		}
 	}
-	rev := a.forward(retStart, fastPath)
+	rev := a.forward(retStart, fastPath, nil)
 
 	// Return flows that arrive back at the source device.
 	returned := bdd.False

@@ -2,9 +2,11 @@
 // §4.2): a dataflow analysis over the forwarding graph that computes, for
 // every node, the set of packets that can reach it. On top of the core
 // forward fixed point it implements the paper's extensions and
-// optimizations — graph compression, backward propagation for
-// single-destination queries, waypoint tracking, multipath-consistency
-// checking, and bidirectional reachability through stateful devices.
+// optimizations — backward propagation for single-destination queries,
+// waypoint tracking, multipath-consistency checking, and bidirectional
+// reachability through stateful devices. Graph compression (§4.2.3) is
+// deliberately absent: it measured no gain at our scale (EXPERIMENTS E9),
+// so every analysis runs over the uncompressed graph it was given.
 package reach
 
 import (
@@ -16,28 +18,24 @@ import (
 	"repro/internal/hdr"
 )
 
-// Options tune the analysis.
-type Options struct {
-	// Compress removes simple pass-through nodes before propagation
-	// (paper §4.2.3 "graph compression"). On by default via New.
-	Compress bool
-}
-
-// Analysis owns a (possibly compressed) view of the forwarding graph.
+// Analysis is one snapshot's view of the forwarding graph: it reads the
+// graph's edges and adjacency directly and owns only the cancellation
+// state of its fixed-point loops. Construction is O(1), so every caller
+// that needs private cancellation state builds its own.
 type Analysis struct {
-	G     *fwdgraph.Graph
-	Enc   *hdr.Enc
-	edges []fwdgraph.Edge
-	out   [][]int32
-	in    [][]int32
-	// origin maps compressed-away node ids to themselves; kept for sinks
-	// and sources which are never compressed.
+	G   *fwdgraph.Graph
+	Enc *hdr.Enc
 
 	ctx context.Context // nil means context.Background()
 
 	// Cancelled latches when a fixed-point loop observed an expired
 	// context and returned an under-approximate result.
 	Cancelled bool
+}
+
+// New returns an analysis over g. The graph is only read, never mutated.
+func New(g *fwdgraph.Graph) *Analysis {
+	return &Analysis{G: g, Enc: g.Enc}
 }
 
 // WithContext attaches a context checked periodically inside the
@@ -63,117 +61,19 @@ func (a *Analysis) expired(pops int) bool {
 	return true
 }
 
-// New builds an analysis with graph compression enabled.
-func New(g *fwdgraph.Graph) *Analysis {
-	return NewWithOptions(g, Options{Compress: true})
-}
-
-// NewWithOptions builds an analysis with explicit options.
-func NewWithOptions(g *fwdgraph.Graph, opts Options) *Analysis {
-	a := &Analysis{G: g, Enc: g.Enc}
-	a.edges = append([]fwdgraph.Edge(nil), g.Edges...)
-	if opts.Compress {
-		a.compress()
-	}
-	a.reindex()
-	return a
-}
-
-func (a *Analysis) reindex() {
-	n := len(a.G.Nodes)
-	a.out = make([][]int32, n)
-	a.in = make([][]int32, n)
-	for i := range a.edges {
-		e := &a.edges[i]
-		a.out[e.From] = append(a.out[e.From], int32(i))
-		a.in[e.To] = append(a.in[e.To], int32(i))
-	}
-}
-
-// EdgeCount returns the number of edges after compression.
-func (a *Analysis) EdgeCount() int { return len(a.edges) }
-
-// compress collapses pass-through nodes: a node with exactly one incoming
-// and one outgoing edge, that is neither a source nor a sink, whose
-// incoming edge is a pure label (no transformation or zone/waypoint
-// effects), merges into a single edge with the conjoined label
-// (paper §4.2.3: such nodes "only slow down the graph traversal").
-func (a *Analysis) compress() {
-	for {
-		out := make([][]int32, len(a.G.Nodes))
-		in := make([][]int32, len(a.G.Nodes))
-		alive := make([]bool, len(a.edges))
-		for i := range a.edges {
-			alive[i] = true
-			e := &a.edges[i]
-			out[e.From] = append(out[e.From], int32(i))
-			in[e.To] = append(in[e.To], int32(i))
-		}
-		changed := false
-		touched := make([]bool, len(a.G.Nodes))
-		for id := range a.G.Nodes {
-			node := &a.G.Nodes[id]
-			if node.Kind == fwdgraph.KindSource || node.Kind == fwdgraph.KindSink {
-				continue
-			}
-			if touched[id] || len(in[id]) != 1 || len(out[id]) != 1 {
-				continue
-			}
-			ei, eo := in[id][0], out[id][0]
-			if !alive[ei] || !alive[eo] {
-				continue
-			}
-			e1, e2 := a.edges[ei], a.edges[eo]
-			if touched[e1.From] || touched[e2.To] {
-				continue // adjacency stale within this sweep; next sweep
-			}
-			if e1.From == e2.To || e1.From == id {
-				continue // avoid self loops
-			}
-			if !pureLabel(&e1) {
-				continue
-			}
-			merged := e2
-			merged.From = e1.From
-			merged.Label = a.Enc.F.And(e1.Label, e2.Label)
-			if e2.Raw != bdd.False {
-				merged.Raw = a.Enc.F.And(e1.Label, e2.Raw)
-			}
-			a.edges[ei] = merged
-			alive[eo] = false
-			changed = true
-			touched[e1.From] = true
-			touched[e2.To] = true
-			touched[id] = true
-		}
-		kept := a.edges[:0]
-		for i := range a.edges {
-			if alive[i] {
-				kept = append(kept, a.edges[i])
-			}
-		}
-		a.edges = kept
-		if !changed {
-			return
-		}
-	}
-}
-
-func pureLabel(e *fwdgraph.Edge) bool {
-	return e.Tr == nil && e.ZoneSet == nil && !e.ClearZone && len(e.SetBits) == 0
-}
-
 // Forward runs the forward dataflow fixed point from the given start sets
 // (node id -> packet set) and returns the reachable set per node. Sets only
 // grow, unions are monotone, and the variable count is fixed, so the fixed
 // point terminates even on cyclic graphs (forwarding loops).
 func (a *Analysis) Forward(start map[int]bdd.Ref) []bdd.Ref {
-	return a.forward(start, nil)
+	return a.forward(start, nil, nil)
 }
 
 // forward optionally takes a per-device session fast-path map (device ->
-// return-flow set) used by bidirectional analysis.
-func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) []bdd.Ref {
+// return-flow set) used by bidirectional analysis, and a node id ->
+// extension-bit map used by waypoint tracking: every contribution into
+// such a node has that bit set.
+func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref, setBit map[int]int) []bdd.Ref {
 	f := a.Enc.F
 	reach := make([]bdd.Ref, len(a.G.Nodes))
 	inQueue := make([]bool, len(a.G.Nodes))
@@ -206,8 +106,8 @@ func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) [
 		if set == bdd.False {
 			continue
 		}
-		for _, ei := range a.out[n] {
-			e := &a.edges[ei]
+		for _, ei := range a.G.Out[n] {
+			e := &a.G.Edges[ei]
 			contribution := e.Apply(a.Enc, set)
 			if fastPath != nil && e.Raw != bdd.False {
 				if fp, ok := fastPath[a.G.Nodes[e.From].Node_]; ok && fp != bdd.False {
@@ -219,6 +119,9 @@ func (a *Analysis) forward(start map[int]bdd.Ref, fastPath map[string]bdd.Ref) [
 			}
 			if contribution == bdd.False {
 				continue
+			}
+			if bit, ok := setBit[e.To]; ok {
+				contribution = a.Enc.SetBit(contribution, bit)
 			}
 			next := f.Or(reach[e.To], contribution)
 			if next != reach[e.To] {
@@ -268,8 +171,8 @@ func (a *Analysis) Backward(sinks map[int]bdd.Ref) []bdd.Ref {
 		if set == bdd.False {
 			continue
 		}
-		for _, ei := range a.in[n] {
-			e := &a.edges[ei]
+		for _, ei := range a.G.In[n] {
+			e := &a.G.Edges[ei]
 			contribution := e.ApplyReverse(a.Enc, set)
 			if contribution == bdd.False {
 				continue

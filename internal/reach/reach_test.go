@@ -2,6 +2,7 @@ package reach
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bdd"
@@ -152,38 +153,6 @@ func TestDifferentialTracerouteVsReach(t *testing.T) {
 	}
 }
 
-func TestCompressionEquivalence(t *testing.T) {
-	for name, net := range map[string]*config.Network{
-		"line":    testnet.Line3(),
-		"broken":  testnet.ECMPWithBrokenBranch(),
-		"figure2": testnet.Figure2(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			dp := dataplane.Run(net, dataplane.Options{})
-			g := fwdgraph.New(dp)
-			plain := NewWithOptions(g, Options{Compress: false})
-			comp := NewWithOptions(g, Options{Compress: true})
-			if comp.EdgeCount() >= plain.EdgeCount() {
-				t.Errorf("compression did not shrink graph: %d vs %d", comp.EdgeCount(), plain.EdgeCount())
-			}
-			for _, src := range plain.Sources() {
-				r1, _ := plain.Reachability(src, bdd.True)
-				r2, _ := comp.Reachability(src, bdd.True)
-				for sink, set := range r1.Sinks {
-					if r2.Sinks[sink] != set {
-						t.Fatalf("%v sink %s differs under compression", src, sink)
-					}
-				}
-				for sink := range r2.Sinks {
-					if _, ok := r1.Sinks[sink]; !ok && r2.Sinks[sink] != bdd.False {
-						t.Fatalf("%v sink %s appears only under compression", src, sink)
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestDestReachBackwardMatchesForward(t *testing.T) {
 	_, a := analyze(t, testnet.Line3())
 	hs := bdd.True
@@ -306,6 +275,39 @@ func TestBidirectionalFirewall(t *testing.T) {
 	))
 	if s := rev.Sinks[fwdgraph.SinkDeliveredToHost]; s != bdd.False && s != 0 {
 		t.Error("unsolicited outside->inside traffic should not be delivered")
+	}
+}
+
+// TestQueriesLeaveGraphUntouched checks that waypoint and bidirectional
+// queries read the shared graph without instrumenting it: replicas and
+// other analyses share the same edge slice and per-edge metadata.
+func TestQueriesLeaveGraphUntouched(t *testing.T) {
+	snapshot := func(g *fwdgraph.Graph) []fwdgraph.Edge {
+		out := append([]fwdgraph.Edge(nil), g.Edges...)
+		for i := range out {
+			if z := out[i].ZoneSet; z != nil {
+				zz := *z
+				out[i].ZoneSet = &zz
+			}
+		}
+		return out
+	}
+	_, a := analyze(t, testnet.Line3())
+	before := snapshot(a.G)
+	if _, ok := a.Waypoint(SourceLoc{Device: "r1", Iface: "lan0"}, "r3", "r2", bdd.True); !ok {
+		t.Fatal("waypoint query failed")
+	}
+	if !reflect.DeepEqual(before, snapshot(a.G)) {
+		t.Error("Waypoint mutated the graph's edges")
+	}
+
+	_, b := analyze(t, testnet.Firewall())
+	before = snapshot(b.G)
+	if _, ok := b.Bidirectional(SourceLoc{Device: "client", Iface: "eth0"}, "server", bdd.True); !ok {
+		t.Fatal("bidir query failed")
+	}
+	if !reflect.DeepEqual(before, snapshot(b.G)) {
+		t.Error("Bidirectional mutated the graph's edges")
 	}
 }
 

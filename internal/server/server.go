@@ -487,12 +487,11 @@ type qresult struct {
 // under the BDD mutex, with the request context bound for the duration
 // of the call and transient-failure retry on a rebuilt snapshot.
 //
-// Context hygiene is the subtle part: a context-bound snapshot builds a
-// private analysis that checks its context during later queries, so
-// after a clean run the context is unbound from both the snapshot and
-// its analysis before the next request can see them; a poisoned run
-// (cancelled or newly degraded) discards the snapshot instead. Either
-// way no request ever observes another request's expired context.
+// Context hygiene: Snapshot.WithContext binds the request context to the
+// snapshot and its private analysis for the call and unbinds both
+// afterwards, so no request ever observes another request's expired
+// context; a poisoned run (cancelled or newly degraded) also discards the
+// snapshot, since its latched partial results must not be reused.
 func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn func(*core.Snapshot)) qresult {
 	var res qresult
 	for attempt := 1; ; attempt++ {
@@ -506,24 +505,9 @@ func (s *Server) runQuestion(ctx context.Context, e *snapEntry, q string, fn fun
 		}
 		before := len(snap.Diags())
 		snap.WithContext(ctx)
-		panicDiag := diag.Capture(diag.StageQuestion, q, func() {
-			// The analysis is memoized across requests, so binding the
-			// snapshot alone is not enough: an analysis built by an
-			// earlier request still holds that request's (unbound)
-			// context. Rebind so this request's deadline reaches the BDD
-			// fixed points too. Inside Capture because a first call may
-			// build data plane and graph, which can trip budgets.
-			snap.Analysis().WithContext(ctx)
-			fn(snap)
-		})
+		panicDiag := diag.Capture(diag.StageQuestion, q, func() { fn(snap) })
 		snap.WithContext(nil)
 		cancelled := snap.Cancelled()
-		if !cancelled && panicDiag == nil {
-			// Unbind the request context from the (private) analysis so
-			// it cannot poison later requests; a poisoned run discards
-			// the whole snapshot below instead.
-			snap.Analysis().WithContext(nil)
-		}
 		after := snap.Diags()
 		s.anMu.Unlock()
 

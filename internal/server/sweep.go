@@ -206,14 +206,10 @@ func (s *Server) planSweep(ctx context.Context, e *snapEntry, spec sweep.Spec) s
 	before := len(snap.Diags())
 	snap.WithContext(ctx)
 	panicDiag := diag.Capture(diag.StageQuestion, "sweep", func() {
-		snap.Analysis().WithContext(ctx)
 		plan, planErr = sweep.NewPlan(snap, spec)
 	})
 	snap.WithContext(nil)
 	cancelled := snap.Cancelled()
-	if !cancelled && panicDiag == nil {
-		snap.Analysis().WithContext(nil)
-	}
 	newDiags := snap.Diags()[before:]
 	s.anMu.Unlock()
 
