@@ -58,13 +58,15 @@ soak:
 cluster-chaos:
 	$(GO) test -race -run TestClusterChaos -count=1 ./internal/cluster/
 
-# Short native-fuzzing pass over the vendor parsers: any input must yield
-# a device model, never a panic. Crashers land in testdata/fuzz/ and
-# reproduce with plain `go test`.
+# Short native-fuzzing pass over the vendor parsers (any input must yield
+# a device model, never a panic) and the BDD kernel (every op of a decoded
+# program must match its truth table). Crashers land in testdata/fuzz/
+# and reproduce with plain `go test`.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/cisco/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vendors/juniper/
+	$(GO) test -fuzz=FuzzKernelOps -fuzztime=$(FUZZTIME) ./internal/bdd/
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)

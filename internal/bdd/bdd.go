@@ -6,8 +6,8 @@
 //
 //   - a hash-consed unique table so BDDs are canonical for a fixed variable
 //     order, enabling constant-time equality and identity-keyed caches;
-//   - the standard logical operations (AND, OR, NOT, XOR, DIFF, ITE) with
-//     per-operation memoization caches;
+//   - the standard logical operations (AND, OR, NOT, XOR, DIFF, ITE),
+//     memoized in direct-mapped op caches that grow with the unique table;
 //   - existential quantification and variable renaming;
 //   - RelProd, the fused AND + ∃-quantify + rename operation used to push a
 //     packet set through a NAT transformation relation in one pass
@@ -32,6 +32,7 @@ package bdd
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Ref identifies a BDD node within a Factory. The terminals are False (0)
@@ -55,27 +56,72 @@ type node struct {
 
 const terminalLevel = int32(1) << 30
 
-// operation codes for the binary apply cache.
+// Operation tags for the main op cache. ITE and AndExists use all three
+// key fields and have tables of their own, so they need no tag.
 const (
-	opAnd int32 = iota
+	opAnd Ref = iota
 	opOr
 	opXor
 	opDiff
 	opNot
 	opExists
-	opAndExists
 	opReplace
-	opIte
-	opSatCount
 	opRestrict
 )
 
+// cacheEntry is one op-cache slot: key (a, b, c) and result res. An entry
+// with a == False is empty. Every cached operation returns before its
+// lookup when its first operand is False (And/ITE/AndExists yield False,
+// Or/Xor yield the other operand, Diff yields False, and the unary ops
+// return terminals unchanged), so no stored key has a == False and the
+// zero value marks an empty slot without a separate valid flag.
 type cacheEntry struct {
-	a, b, c Ref
-	op      int32
-	res     Ref
-	ok      bool
+	a, b, c, res Ref
 }
+
+// opCache is a direct-mapped memo table of 16-byte entries. A newer entry
+// overwrites whatever shares its slot; a miss only costs a recomputation
+// whose nodes already exist, so the table layout never changes a Ref.
+type opCache struct {
+	entries []cacheEntry
+	mask    uint32
+}
+
+func newOpCache(size int) opCache {
+	return opCache{entries: make([]cacheEntry, size), mask: uint32(size - 1)}
+}
+
+// resized returns the cache rehashed into size slots, keeping its live
+// entries (colliding ones overwrite each other).
+func (c *opCache) resized(size int) opCache {
+	n := newOpCache(size)
+	for _, e := range c.entries {
+		if e.a != False {
+			n.entries[hash3(int32(e.a), int32(e.b), int32(e.c))&n.mask] = e
+		}
+	}
+	return n
+}
+
+func (c *opCache) slot(a, b, cc Ref) *cacheEntry {
+	return &c.entries[hash3(int32(a), int32(b), int32(cc))&c.mask]
+}
+
+func (c *opCache) store(a, b, cc, res Ref) {
+	*c.slot(a, b, cc) = cacheEntry{a: a, b: b, c: cc, res: res}
+}
+
+// Op-cache sizing: the main table holds one slot per 1<<cacheShift
+// unique-table slots, and the ITE and AndExists tables, whose ops are rare
+// (ITE only in SwapVars, AndExists only for NAT edges), one per
+// 1<<rareCacheShift; those two are allocated on first use. All tables
+// double with the unique table, which starts at initUniqueSize slots, and
+// keep their entries across the doubling.
+const (
+	cacheShift     = 2
+	rareCacheShift = 4
+	initUniqueSize = 1 << 13
+)
 
 // Factory allocates and operates on BDD nodes over a fixed number of
 // variables. Variable i is at level i; there is no dynamic reordering
@@ -85,13 +131,15 @@ type Factory struct {
 
 	nodes []node
 
-	// unique is an open-addressing hash table of node indices keyed by
-	// (level, low, high).
-	unique     []Ref
+	// unique is an open-addressing (linear probing) hash table of node
+	// ids keyed by (level, low, high).
+	unique     []uniqueSlot
 	uniqueMask uint32
 
-	cache     []cacheEntry
-	cacheMask uint32
+	// cache holds Not, apply, exists, replace and restrict results, keyed
+	// (operand, second operand or var-set/perm/restrict key, op tag);
+	// iteCache and andExCache hold ITE and AndExists results.
+	cache, iteCache, andExCache opCache
 
 	// varsets holds interned sorted variable lists for quantification.
 	varsets   [][]int32
@@ -103,7 +151,10 @@ type Factory struct {
 
 	satCache map[Ref]float64
 
-	opCount uint64 // statistics: recursive operation applications
+	// Statistics (see Stats); never part of a key or an answer.
+	opCount uint64 // recursive operation steps, one per cache miss
+	hits    uint64 // op-cache hits
+	growths int    // unique-table doublings
 
 	// budget bounds the node table (0 = unlimited); see SetNodeBudget.
 	budget int
@@ -142,8 +193,9 @@ func NewFactory(nvars int) *Factory {
 	f.nodes = make([]node, 2, 1024)
 	f.nodes[False] = node{level: terminalLevel}
 	f.nodes[True] = node{level: terminalLevel}
-	f.initUnique(1 << 13)
-	f.initCache(1 << 14)
+	f.unique = make([]uniqueSlot, initUniqueSize)
+	f.uniqueMask = initUniqueSize - 1
+	f.cache = newOpCache(initUniqueSize >> cacheShift)
 	f.varsetIDs = make(map[string]int32)
 	f.permIDs = make(map[string]int32)
 	f.satCache = make(map[Ref]float64)
@@ -180,20 +232,78 @@ func (f *Factory) NodeCount(r Ref) int {
 // a machine-independent work measure used by benchmarks.
 func (f *Factory) OpCount() uint64 { return f.opCount }
 
-func (f *Factory) initUnique(size int) {
-	f.unique = make([]Ref, size)
-	for i := range f.unique {
-		f.unique[i] = -1
+// Stats is a snapshot of a factory's kernel counters and table sizes.
+type Stats struct {
+	Ops         uint64 // recursive operation steps; every op-cache miss is one
+	Hits        uint64 // op-cache hits
+	Nodes       int    // allocated nodes, including the two terminals
+	UniqueSlots int    // unique-table slots
+	CacheSlots  int    // op-cache slots, all three tables
+	Growths     int    // unique-table doublings since NewFactory
+	TableBytes  int    // bytes held by the node array, unique table and op caches
+}
+
+// HitRate returns the share of op-cache lookups that hit (0 before any).
+func (s Stats) HitRate() float64 {
+	if s.Hits+s.Ops == 0 {
+		return 0
 	}
-	f.uniqueMask = uint32(size - 1)
-	for i := 2; i < len(f.nodes); i++ {
-		f.uniqueInsert(Ref(i))
+	return float64(s.Hits) / float64(s.Hits+s.Ops)
+}
+
+// Stats returns the factory's kernel counters. Reading them has no effect
+// on the factory.
+func (f *Factory) Stats() Stats {
+	slots := len(f.cache.entries) + len(f.iteCache.entries) + len(f.andExCache.entries)
+	return Stats{
+		Ops:         f.opCount,
+		Hits:        f.hits,
+		Nodes:       len(f.nodes),
+		UniqueSlots: len(f.unique),
+		CacheSlots:  slots,
+		Growths:     f.growths,
+		TableBytes: cap(f.nodes)*int(unsafe.Sizeof(node{})) +
+			len(f.unique)*int(unsafe.Sizeof(uniqueSlot(0))) +
+			slots*int(unsafe.Sizeof(cacheEntry{})),
 	}
 }
 
-func (f *Factory) initCache(size int) {
-	f.cache = make([]cacheEntry, size)
-	f.cacheMask = uint32(size - 1)
+// uniqueSlot is one unique-table slot: the node id in the low 32 bits and
+// its full (level, low, high) hash in the high 32. A probe compares the
+// hash before it reads the node, and a doubling rehashes from the slots
+// alone. The zero value is empty: False is never a decision node.
+type uniqueSlot uint64
+
+func (s uniqueSlot) id() Ref               { return Ref(uint32(s)) }
+func (s uniqueSlot) hash() uint32          { return uint32(s >> 32) }
+func packSlot(id Ref, h uint32) uniqueSlot { return uniqueSlot(uint32(id)) | uniqueSlot(h)<<32 }
+
+// grow doubles the unique table and the op caches with it.
+func (f *Factory) grow() {
+	old := f.unique
+	f.unique = make([]uniqueSlot, 2*len(old))
+	f.uniqueMask = uint32(len(f.unique) - 1)
+	for _, s := range old {
+		if s != 0 {
+			i := s.hash() & f.uniqueMask
+			for f.unique[i] != 0 {
+				i = (i + 1) & f.uniqueMask
+			}
+			f.unique[i] = s
+		}
+	}
+	// Reserve room for every node the grown table admits before its next
+	// doubling, so append does not copy the node array in between.
+	if limit := int(f.uniqueMask-f.uniqueMask/4) + 1; cap(f.nodes) < limit {
+		f.nodes = append(make([]node, 0, limit), f.nodes...)
+	}
+	f.cache = f.cache.resized(len(f.unique) >> cacheShift)
+	for _, t := range [...]*opCache{&f.iteCache, &f.andExCache} {
+		if t.entries != nil {
+			*t = t.resized(len(f.unique) >> rareCacheShift)
+		}
+	}
+	f.growths++
 }
 
 func hash3(a, b, c int32) uint32 {
@@ -204,45 +314,35 @@ func hash3(a, b, c int32) uint32 {
 	return h
 }
 
-func (f *Factory) uniqueInsert(id Ref) {
-	n := f.nodes[id]
-	h := hash3(n.level, int32(n.low), int32(n.high)) & f.uniqueMask
-	for f.unique[h] != -1 {
-		h = (h + 1) & f.uniqueMask
-	}
-	f.unique[h] = id
-}
-
 // mk returns the canonical node (level, low, high), applying the two BDD
 // reduction rules: redundant-test elimination and subgraph sharing.
 func (f *Factory) mk(level int32, low, high Ref) Ref {
 	if low == high {
 		return low
 	}
-	h := hash3(level, int32(low), int32(high)) & f.uniqueMask
+	h := hash3(level, int32(low), int32(high))
+	i := h & f.uniqueMask
 	for {
-		id := f.unique[h]
-		if id == -1 {
+		s := f.unique[i]
+		if s == 0 {
 			break
 		}
-		n := f.nodes[id]
-		if n.level == level && n.low == low && n.high == high {
-			return id
+		if s.hash() == h {
+			if n := &f.nodes[s.id()]; n.level == level && n.low == low && n.high == high {
+				return s.id()
+			}
 		}
-		h = (h + 1) & f.uniqueMask
+		i = (i + 1) & f.uniqueMask
 	}
 	if f.budget > 0 && len(f.nodes) >= f.budget {
 		panic(BudgetError{Limit: f.budget})
 	}
 	id := Ref(len(f.nodes))
 	f.nodes = append(f.nodes, node{level: level, low: low, high: high})
-	f.unique[h] = id
+	f.unique[i] = packSlot(id, h)
 	// Grow the unique table (and caches) when load exceeds 3/4.
 	if uint32(len(f.nodes)) > f.uniqueMask-f.uniqueMask/4 {
-		f.initUnique(len(f.unique) * 2)
-		if len(f.cache) < len(f.unique) {
-			f.initCache(len(f.cache) * 2)
-		}
+		f.grow()
 	}
 	return id
 }
@@ -275,17 +375,21 @@ func (f *Factory) Low(r Ref) Ref { return f.nodes[r].low }
 // High returns the high (variable=1) child of r.
 func (f *Factory) High(r Ref) Ref { return f.nodes[r].high }
 
-func (f *Factory) cacheLookup(op int32, a, b, c Ref) (Ref, bool) {
-	e := &f.cache[hash3(int32(a)^op<<24, int32(b), int32(c))&f.cacheMask]
-	if e.ok && e.op == op && e.a == a && e.b == b && e.c == c {
+// rare returns the ITE or AndExists table t, allocating it on first use.
+func (f *Factory) rare(t *opCache) *opCache {
+	if t.entries == nil {
+		*t = newOpCache(len(f.unique) >> rareCacheShift)
+	}
+	return t
+}
+
+// lookup probes table t for key (a, b, c).
+func (f *Factory) lookup(t *opCache, a, b, c Ref) (Ref, bool) {
+	if e := t.slot(a, b, c); e.a == a && e.b == b && e.c == c {
+		f.hits++
 		return e.res, true
 	}
 	return 0, false
-}
-
-func (f *Factory) cacheStore(op int32, a, b, c, res Ref) {
-	e := &f.cache[hash3(int32(a)^op<<24, int32(b), int32(c))&f.cacheMask]
-	*e = cacheEntry{a: a, b: b, c: c, op: op, res: res, ok: true}
 }
 
 // Not returns the complement of a.
@@ -296,13 +400,13 @@ func (f *Factory) Not(a Ref) Ref {
 	case True:
 		return False
 	}
-	if r, ok := f.cacheLookup(opNot, a, 0, 0); ok {
+	if r, ok := f.lookup(&f.cache, a, 0, opNot); ok {
 		return r
 	}
 	f.opCount++
 	n := f.nodes[a]
 	res := f.mk(n.level, f.Not(n.low), f.Not(n.high))
-	f.cacheStore(opNot, a, 0, 0, res)
+	f.cache.store(a, 0, opNot, res)
 	return res
 }
 
@@ -339,7 +443,7 @@ func (f *Factory) OrN(xs ...Ref) Ref {
 	return r
 }
 
-func (f *Factory) apply(op int32, a, b Ref) Ref {
+func (f *Factory) apply(op, a, b Ref) Ref {
 	switch op {
 	case opAnd:
 		if a == b {
@@ -400,7 +504,7 @@ func (f *Factory) apply(op int32, a, b Ref) Ref {
 			return a
 		}
 	}
-	if r, ok := f.cacheLookup(op, a, b, 0); ok {
+	if r, ok := f.lookup(&f.cache, a, b, op); ok {
 		return r
 	}
 	f.opCount++
@@ -416,7 +520,7 @@ func (f *Factory) apply(op int32, a, b Ref) Ref {
 		level, a0, a1, b0, b1 = nb.level, a, a, nb.low, nb.high
 	}
 	res := f.mk(level, f.apply(op, a0, b0), f.apply(op, a1, b1))
-	f.cacheStore(op, a, b, 0, res)
+	f.cache.store(a, b, op, res)
 	return res
 }
 
@@ -434,7 +538,7 @@ func (f *Factory) ITE(c, t, e Ref) Ref {
 	case t == False && e == True:
 		return f.Not(c)
 	}
-	if r, ok := f.cacheLookup(opIte, c, t, e); ok {
+	if r, ok := f.lookup(f.rare(&f.iteCache), c, t, e); ok {
 		return r
 	}
 	f.opCount++
@@ -443,7 +547,7 @@ func (f *Factory) ITE(c, t, e Ref) Ref {
 	t0, t1 := f.cofactor(t, level)
 	e0, e1 := f.cofactor(e, level)
 	res := f.mk(level, f.ITE(c0, t0, e0), f.ITE(c1, t1, e1))
-	f.cacheStore(opIte, c, t, e, res)
+	f.iteCache.store(c, t, e, res)
 	return res
 }
 
@@ -533,9 +637,9 @@ func (f *Factory) exists(r Ref, vs VarSet, idx int) Ref {
 	if idx >= len(vs.vars) {
 		return r
 	}
-	// cache key packs the varset id and position into c
-	ckey := Ref(int32(vs.id)<<10 | int32(idx))
-	if res, ok := f.cacheLookup(opExists, r, ckey, 0); ok {
+	// Every variable of vs before idx lies above r's level, so the result
+	// is ∃vs.r whatever idx is, and (r, vs.id) is the whole key.
+	if res, ok := f.lookup(&f.cache, r, Ref(vs.id), opExists); ok {
 		return res
 	}
 	f.opCount++
@@ -551,7 +655,7 @@ func (f *Factory) exists(r Ref, vs VarSet, idx int) Ref {
 	} else {
 		res = f.mk(level, f.exists(n.low, vs, idx), f.exists(n.high, vs, idx))
 	}
-	f.cacheStore(opExists, r, ckey, 0, res)
+	f.cache.store(r, Ref(vs.id), opExists, res)
 	return res
 }
 
@@ -605,8 +709,7 @@ func (f *Factory) replace(r Ref, p Perm) Ref {
 	if level >= int32(len(p.m)) { // terminal guard (should not occur)
 		return r
 	}
-	ckey := Ref(p.id)
-	if res, ok := f.cacheLookup(opReplace, r, ckey, 0); ok {
+	if res, ok := f.lookup(&f.cache, r, Ref(p.id), opReplace); ok {
 		return res
 	}
 	f.opCount++
@@ -618,7 +721,7 @@ func (f *Factory) replace(r Ref, p Perm) Ref {
 		panic("bdd: Replace renaming is not order-preserving on this BDD")
 	}
 	res := f.mk(newLevel, lo, hi)
-	f.cacheStore(opReplace, r, ckey, 0, res)
+	f.cache.store(r, Ref(p.id), opReplace, res)
 	return res
 }
 
@@ -645,8 +748,8 @@ func (f *Factory) andExists(a, b Ref, vs VarSet, idx int) Ref {
 	if a > b {
 		a, b = b, a
 	}
-	ckey := Ref(int32(vs.id)<<10 | int32(idx))
-	if res, ok := f.cacheLookup(opAndExists, a, b, ckey); ok {
+	// As in exists, the result is ∃vs.(a ∧ b) whatever idx is.
+	if res, ok := f.lookup(f.rare(&f.andExCache), a, b, Ref(vs.id)); ok {
 		return res
 	}
 	f.opCount++
@@ -663,7 +766,7 @@ func (f *Factory) andExists(a, b Ref, vs VarSet, idx int) Ref {
 	} else {
 		res = f.mk(level, f.andExists(a0, b0, vs, idx), f.andExists(a1, b1, vs, idx))
 	}
-	f.cacheStore(opAndExists, a, b, ckey, res)
+	f.andExCache.store(a, b, Ref(vs.id), res)
 	return res
 }
 
@@ -706,12 +809,12 @@ func (f *Factory) restrict(r Ref, v int32, val bool) Ref {
 	if val {
 		ckey |= 1
 	}
-	if res, ok := f.cacheLookup(opRestrict, r, ckey, 0); ok {
+	if res, ok := f.lookup(&f.cache, r, ckey, opRestrict); ok {
 		return res
 	}
 	f.opCount++
 	res := f.mk(n.level, f.restrict(n.low, v, val), f.restrict(n.high, v, val))
-	f.cacheStore(opRestrict, r, ckey, 0, res)
+	f.cache.store(r, ckey, opRestrict, res)
 	return res
 }
 

@@ -260,6 +260,7 @@ type Enc struct {
 	unprime    bdd.Perm
 	prime      bdd.Perm
 	extVS      bdd.VarSet
+	rangeVS    map[[2]int]bdd.VarSet // interned ExtVarSet / SetBit sets by (first var, width)
 	fieldCache map[fieldVal]bdd.Ref
 }
 
@@ -273,6 +274,7 @@ func NewEnc(extBits int) *Enc {
 	l := NewLayout(extBits)
 	e := &Enc{L: l, F: bdd.NewFactory(l.NumVars())}
 	e.fieldCache = make(map[fieldVal]bdd.Ref)
+	e.rangeVS = make(map[[2]int]bdd.VarSet)
 	e.transVS = e.F.NewVarSet(l.transVS...)
 	e.unprime = e.F.NewPerm(l.unprimeMap)
 	e.prime = e.F.NewPerm(l.primeMap)
@@ -551,7 +553,7 @@ func (e *Enc) SwapSrcDst(set bdd.Ref) bdd.Ref {
 // SetBit returns the set with extension variable v forced to 1, erasing its
 // previous value. Used for waypoint marking (paper §4.2.3).
 func (e *Enc) SetBit(set bdd.Ref, v int) bdd.Ref {
-	return e.F.And(e.F.Exists(set, e.F.NewVarSet(v)), e.F.Var(v))
+	return e.F.And(e.F.Exists(set, e.varRange(v, 1)), e.F.Var(v))
 }
 
 // ClearExt erases all extension variables from the set (used when a packet
@@ -580,9 +582,25 @@ func (e *Enc) ExtEq(base, width int, v uint32) bdd.Ref {
 
 // ExtVarSet returns the VarSet for extension bits [base, base+width).
 func (e *Enc) ExtVarSet(base, width int) bdd.VarSet {
+	if base < 0 || width < 0 || base+width > e.L.extBits {
+		panic(fmt.Sprintf("hdr: extension vars [%d,%d) out of %d", base, base+width, e.L.extBits))
+	}
+	return e.varRange(e.L.extBase+base, width)
+}
+
+// varRange returns the VarSet of variables [first, first+width), interned
+// once per encoder: the zone and waypoint sets are taken on every edge
+// application, and NewVarSet allocates and hashes on each call.
+func (e *Enc) varRange(first, width int) bdd.VarSet {
+	k := [2]int{first, width}
+	if vs, ok := e.rangeVS[k]; ok {
+		return vs
+	}
 	vars := make([]int, width)
 	for i := range vars {
-		vars[i] = e.L.ExtVar(base + i)
+		vars[i] = first + i
 	}
-	return e.F.NewVarSet(vars...)
+	vs := e.F.NewVarSet(vars...)
+	e.rangeVS[k] = vs
+	return vs
 }

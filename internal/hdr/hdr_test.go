@@ -311,6 +311,32 @@ func TestExtensionBits(t *testing.T) {
 	}
 }
 
+// TestExtVarSetsInterned checks that the per-edge zone set and the
+// waypoint SetBit set are built once per encoder: after the first call,
+// neither allocates, and ExtVarSet still covers exactly the asked bits.
+func TestExtVarSetsInterned(t *testing.T) {
+	e := NewEnc(6)
+	zone := e.ExtVarSet(0, 4)
+	if zone.Len() != 4 {
+		t.Fatalf("ExtVarSet(0, 4) = %v", zone.Vars())
+	}
+	for i, v := range zone.Vars() {
+		if int(v) != e.L.ExtVar(i) {
+			t.Fatalf("ExtVarSet(0, 4) = %v, want extension vars 0..3", zone.Vars())
+		}
+	}
+	set := e.Prefix(DstIP, ip4.MustParsePrefix("10.0.0.0/8"))
+	wp := e.SetBit(set, e.L.ExtVar(4))
+	allocs := testing.AllocsPerRun(100, func() {
+		if e.ExtVarSet(0, 4).Len() != 4 || e.SetBit(set, e.L.ExtVar(4)) != wp {
+			t.Fatal("interned sets changed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ExtVarSet+SetBit allocate %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestTCPFlagSet(t *testing.T) {
 	e := NewEnc(0)
 	syn := e.TCPFlagSet(FlagSYN)
